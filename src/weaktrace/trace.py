@@ -10,6 +10,7 @@ unvisited arms makes the trace discontinuous.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -63,8 +64,8 @@ class ContinuityVerdict:
 
 def presence_map(scenario: Scenario, threshold: float = DEFAULT_THRESHOLD) -> PresenceMap:
     """Classify each canonical arm as present iff |weak value| > threshold."""
-    if threshold < 0.0:
-        raise ValueError(f"threshold must be nonnegative, got {threshold}")
+    if not 0.0 <= threshold < math.inf:
+        raise ValueError(f"threshold must be finite and nonnegative, got {threshold}")
     entries = []
     for result in weak_value_table(scenario):
         magnitude = abs(result.value)

@@ -9,15 +9,18 @@ Two routes to the same physics live here:
 A coupling of strength ``g`` to an arm projector conditionally translates a
 Gaussian pointer (position variance ``sigma**2``, initially centered at 0)
 by ``g`` on the projected branch and leaves the complementary branch alone.
-Because the conditional-translation structure is exact, the joint state
-stays a finite sum of system branches tagged with per-pointer shift
-offsets, and post-selected readout reduces to closed-form Gaussian overlap
-integrals: for branch shifts ``a`` and ``b``,
+The joint state thus stays exactly a sum of branches, kept as two arrays
+with one row per branch: system amplitudes ``systems`` (B x d) and pointer
+shifts ``shifts`` (B x N), B = 2**N.  Post-selected readout reduces to
+closed-form Gaussian overlap integrals: for branch shifts ``a`` and ``b``,
 
     <phi_a|phi_b>    = exp(-(a-b)^2 / (8 sigma^2))
     <phi_a|x|phi_b>  = (a+b)/2 * <phi_a|phi_b>
     <phi_a|p|phi_b>  = i (a-b) / (4 sigma^2) * <phi_a|phi_b>
 
+Each term carries both branches' post-selected weights, so skipping the
+branches of weight exactly 0 is exact: pairing the L live branches costs
+L**2, not B**2 (``fig1`` with a pointer on each canonical slot: L=3, B=32).
 There is no perturbative truncation anywhere: weak-limit behavior is
 observed by sweeping ``g`` downward, not assumed.
 
@@ -30,12 +33,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .evolution import Scenario, transition_amplitude
 from .optics import arm_projector
-from .qstate import Operator, StateVector, apply, identity, inner
+from .qstate import BasisDescriptor, Operator, StateVector, _require_same_basis, identity
 
 #: Below this post-selection amplitude magnitude the weak value is treated
 #: as undefined: pre/post states are normalized, so an exact-zero overlap
@@ -81,6 +85,8 @@ class PointerSpec:
     width: float = 1.0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.strength) and math.isfinite(self.width)):
+            raise ValueError(f"non-finite pointer strength {self.strength} or width {self.width}")
         if not self.width > 0.0:
             raise ValueError(f"pointer width must be positive, got {self.width}")
 
@@ -93,26 +99,34 @@ class Branch:
     shifts: tuple[float, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointerEnsemble:
-    """Branch decomposition of the system after all couplings.
+    """Branch decomposition of the system after all couplings, as arrays.
 
-    The system components sum to the uncoupled final forward state, and each
-    pointer's shift entry is either 0 or that pointer's strength.
+    Row b of ``systems`` (B x d) is one system component, row b of ``shifts``
+    (B x N) its pointer shifts (each 0 or that pointer's strength).  The rows
+    sum to the uncoupled final forward state; all B = 2**N are kept, zeros too.
     """
 
     specs: tuple[PointerSpec, ...]
-    branches: tuple[Branch, ...]
+    basis: BasisDescriptor
+    systems: np.ndarray
+    shifts: np.ndarray
 
     @property
     def widths(self) -> tuple[float, ...]:
         return tuple(spec.width for spec in self.specs)
 
+    @cached_property
+    def branches(self) -> tuple[Branch, ...]:
+        """The rows as ``Branch`` objects, in row order, built on first use."""
+        return tuple(
+            Branch(StateVector(self.basis, system), tuple(shift.tolist()))
+            for system, shift in zip(self.systems, self.shifts)
+        )
+
     def total_system(self) -> StateVector:
-        total = self.branches[0].system
-        for branch in self.branches[1:]:
-            total = total + branch.system
-        return total
+        return StateVector(self.basis, self.systems.sum(axis=0))
 
 
 @dataclass(frozen=True)
@@ -203,53 +217,32 @@ def couple_pointers(scenario: Scenario, pointers: list[PointerSpec]) -> PointerE
 
     Pointers are applied at their stage boundaries in boundary order (the
     given order breaks ties at a shared boundary; projectors on distinct
-    arms commute, so ties are harmless).  Every coupling doubles the branch
-    count: the projected component shifts its pointer by the full strength,
-    the complement keeps its shifts.  Exact at all strengths.
+    arms commute, so ties are harmless).  Each coupling splits every row
+    into its complement (shifts kept) and its projected part (pointer
+    shifted by the strength); stages act on all rows at once.  Exact at all
+    strengths.
     """
     specs = tuple(pointers)
     for spec in specs:
         scenario.check_boundary(spec.boundary)
         if spec.arm not in scenario.basis.path_modes:
             raise ValueError(f"pointer {spec.name!r} targets unknown arm {spec.arm!r}")
-    order = sorted(range(len(specs)), key=lambda k: specs[k].boundary)
-    by_boundary: dict[int, list[int]] = {}
-    for k in order:
-        by_boundary.setdefault(specs[k].boundary, []).append(k)
-
-    zero_shifts = (0.0,) * len(specs)
-    branches = [Branch(scenario.preselect, zero_shifts)]
+    systems = scenario.preselect.amplitudes[None, :].copy()
+    shifts = np.zeros((1, len(specs)))
     for boundary in range(scenario.n_boundaries):
-        for k in by_boundary.get(boundary, ()):
-            spec = specs[k]
-            projector = arm_projector(scenario.basis, spec.arm)
-            split: list[Branch] = []
-            for branch in branches:
-                hit = apply(projector, branch.system)
-                miss = branch.system - hit
-                shifted = list(branch.shifts)
-                shifted[k] = branch.shifts[k] + spec.strength
-                split.append(Branch(miss, branch.shifts))
-                split.append(Branch(hit, tuple(shifted)))
-            branches = split
+        for k in [k for k, spec in enumerate(specs) if spec.boundary == boundary]:
+            on_arm = np.zeros(systems.shape[1], dtype=bool)
+            on_arm[list(scenario.basis.arm_indices(specs[k].arm))] = True
+            systems = np.repeat(systems, 2, axis=0)
+            systems[0::2, on_arm] = 0.0
+            systems[1::2, ~on_arm] = 0.0
+            shifts = np.repeat(shifts, 2, axis=0)
+            shifts[1::2, k] += specs[k].strength
         if boundary < len(scenario.stages):
-            stage = scenario.stages[boundary]
-            branches = [Branch(apply(stage.unitary, b.system), b.shifts) for b in branches]
-    return PointerEnsemble(specs=specs, branches=tuple(branches))
-
-
-def _overlap_tensors(ensemble: PointerEnsemble, postselect: StateVector):
-    weights = np.array(
-        [inner(postselect, branch.system) for branch in ensemble.branches],
-        dtype=np.complex128,
-    )
-    shifts = np.array([branch.shifts for branch in ensemble.branches], dtype=np.float64)
-    widths = np.array(ensemble.widths, dtype=np.float64)
-    # Pairwise Gaussian overlap across all pointers: prod_k exp(-d_k^2/(8 s_k^2)).
-    diff = shifts[:, None, :] - shifts[None, :, :]
-    log_overlap = -np.sum(diff**2 / (8.0 * widths**2), axis=-1)
-    cross = np.conj(weights)[:, None] * weights[None, :] * np.exp(log_overlap)
-    return weights, shifts, widths, diff, cross
+            systems = systems @ scenario.stages[boundary].unitary.matrix.T
+    systems.setflags(write=False)
+    shifts.setflags(write=False)
+    return PointerEnsemble(specs=specs, basis=scenario.basis, systems=systems, shifts=shifts)
 
 
 def postselect_and_readout(
@@ -257,13 +250,22 @@ def postselect_and_readout(
 ) -> tuple[PointerReadout, ...]:
     """Project onto the post-selection and read mean pointer shifts.
 
+    Rows of post-selected weight exactly 0 are skipped, which is exact.
     Position and momentum means come from the closed-form Gaussian matrix
-    elements, including all cross-pointer overlap factors; the returned
-    post-selection probability is exact at the coupled strengths.
+    elements over the live rows, including all cross-pointer overlap
+    factors; the returned post-selection probability is exact at the
+    coupled strengths.
     """
-    if not ensemble.branches:
-        raise UndefinedReadoutError("empty pointer ensemble")
-    weights, shifts, widths, diff, cross = _overlap_tensors(ensemble, postselect)
+    _require_same_basis(postselect.basis, ensemble.basis)
+    weights = ensemble.systems @ postselect.amplitudes.conj()
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("non-finite inner product")
+    live = weights != 0.0
+    weights, shifts = weights[live], ensemble.shifts[live]
+    widths = np.array(ensemble.widths, dtype=np.float64)
+    diff = shifts[:, None, :] - shifts[None, :, :]
+    log_overlap = -np.sum(diff**2 / (8.0 * widths**2), axis=-1)
+    cross = np.conj(weights)[:, None] * weights[None, :] * np.exp(log_overlap)
     probability = float(np.sum(cross).real)
     if probability <= 1e-30:
         raise UndefinedReadoutError(

@@ -2,8 +2,10 @@
 
 The stage matrices here are written out column by column from the reference
 interferometer's port assignments, without going through the package's
-embed/routing machinery, and the pointer oracle integrates Gaussian
-wavepackets on a dense grid instead of using closed-form overlaps.
+embed/routing machinery.  One pointer oracle integrates Gaussian
+wavepackets on a dense grid instead of using closed-form overlaps; the
+other couples pointers longhand and sums the closed-form overlaps over
+every branch, with no branch skipped.
 """
 
 from __future__ import annotations
@@ -152,3 +154,55 @@ def grid_pointer_readout(
     spectrum = np.abs(np.fft.fft(psi)) ** 2
     mean_p = float((k * spectrum).sum() / spectrum.sum())
     return probability, mean_x, mean_p
+
+
+def full_sum_pointer_readout(
+    stages: list[np.ndarray],
+    pre: np.ndarray,
+    post: np.ndarray,
+    pointers: list[tuple[str, int, float, float]],
+    pol_dim: int = 1,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Post-selected pointer means from closed-form overlaps over every branch.
+
+    ``pointers`` holds one ``(arm, boundary, g, sigma)`` per pointer, applied
+    in boundary order.  Each coupling splits every branch into its arm
+    component, shifted by ``g``, and the rest; the longhand stage matrices
+    then evolve each branch on its own.  All 2**N branches, exactly vanishing
+    ones included, enter the pairwise Gaussian overlap sums.  Returns the
+    post-selection probability and each pointer's mean position and
+    momentum shift.
+    """
+    dim = len(pre)
+    systems, shifts = [pre.copy()], [np.zeros(len(pointers))]
+    for boundary in range(len(stages) + 1):
+        for k, (arm, at, g, _) in enumerate(pointers):
+            if at != boundary:
+                continue
+            projector = np.zeros((dim, dim))
+            for p in range(pol_dim):
+                row = ARMS.index(arm) * pol_dim + p
+                projector[row, row] = 1.0
+            split_systems, split_shifts = [], []
+            for system, shift in zip(systems, shifts):
+                hit = projector @ system
+                moved = shift.copy()
+                moved[k] += g
+                split_systems += [system - hit, hit]
+                split_shifts += [shift, moved]
+            systems, shifts = split_systems, split_shifts
+        if boundary < len(stages):
+            systems = [stages[boundary] @ system for system in systems]
+    weights = np.array([np.vdot(post, system) for system in systems])
+    shifts = np.array(shifts)
+    log_overlap = np.zeros((len(systems), len(systems)))
+    for k, (*_, sigma) in enumerate(pointers):
+        log_overlap -= (shifts[:, None, k] - shifts[None, :, k]) ** 2 / (8.0 * sigma**2)
+    cross = np.conj(weights)[:, None] * weights[None, :] * np.exp(log_overlap)
+    probability = float(cross.sum().real)
+    mean_x, mean_p = [], []
+    for k, (*_, sigma) in enumerate(pointers):
+        a, b = shifts[:, None, k], shifts[None, :, k]
+        mean_x.append(float((cross * (a + b) / 2.0).sum().real) / probability)
+        mean_p.append(float((cross * 1j * (a - b) / (4.0 * sigma**2)).sum().real) / probability)
+    return probability, np.array(mean_x), np.array(mean_p)

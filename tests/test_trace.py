@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -60,6 +61,11 @@ class TestPresenceMap:
     def test_negative_threshold_rejected(self, fig1):
         with pytest.raises(ValueError):
             presence_map(fig1, threshold=-1.0)
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf])
+    def test_nonfinite_threshold_rejected(self, fig1, threshold):
+        with pytest.raises(ValueError):
+            trace_verdict(fig1, threshold)
 
 
 class TestContinuityCheck:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from weaktrace.cli import execute
 from weaktrace.evolution import forward_state
 from weaktrace.optics import arm_projector
 from weaktrace.qstate import ATOL, inner
@@ -19,7 +20,14 @@ from weaktrace.weakmeas import (
     weak_value_table,
 )
 
-from oracles import grid_pointer_readout
+from oracles import (
+    fig1_stage_matrices,
+    fig1_states,
+    fig2_stage_matrices,
+    fig2_states,
+    full_sum_pointer_readout,
+    grid_pointer_readout,
+)
 
 SQ2 = np.sqrt(2.0)
 
@@ -158,6 +166,32 @@ class TestCouplePointers:
         with pytest.raises(ValueError):
             PointerSpec("p", "A", 1, 0.1, width=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["strength", "width"])
+    def test_nonfinite_spec_rejected(self, field, value):
+        values = {"strength": 0.1, "width": 1.0, field: value}
+        with pytest.raises(ValueError):
+            PointerSpec("p", "A", 1, **values)
+
+    def test_arrays_match_branches_row_for_row(self, fig1, fig2):
+        for scenario in (fig1, fig2):
+            specs = [
+                PointerSpec(arm, arm, boundary, 0.05 * (k + 1))
+                for k, (arm, boundary) in enumerate(scenario.canonical_slots())
+            ]
+            ensemble = couple_pointers(scenario, specs)
+            n, dim = len(specs), scenario.basis.dimension
+            postselect_and_readout(ensemble, scenario.postselect)
+            assert "branches" not in vars(ensemble), "readout built the Branch views"
+            assert ensemble.systems.shape == (2**n, dim)
+            assert ensemble.shifts.shape == (2**n, n)
+            assert len(ensemble.branches) == 2**n
+            for system, shifts, branch in zip(
+                ensemble.systems, ensemble.shifts, ensemble.branches
+            ):
+                np.testing.assert_array_equal(system, branch.system.amplitudes)
+                assert tuple(shifts) == branch.shifts
+
 
 class TestReadout:
     def test_zero_strength_readout_is_baseline(self, fig1):
@@ -223,6 +257,36 @@ class TestReadout:
         with pytest.raises(UndefinedReadoutError):
             postselect_and_readout(ensemble, scenario.postselect)
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("name", ["fig1", "fig2"])
+    def test_live_branches_equal_full_sum(self, name, n, request):
+        # The readout skips branches of post-selected weight exactly 0; the
+        # oracle couples longhand and sums over all 2**n branches.
+        scenario = request.getfixturevalue(name)
+        stages, (pre, post), pol_dim = {
+            "fig1": (fig1_stage_matrices(), fig1_states(), 1),
+            "fig2": (fig2_stage_matrices(), fig2_states(), 2),
+        }[name]
+        rng = np.random.default_rng([n, pol_dim])
+        pointers = [
+            (
+                str(rng.choice(scenario.basis.path_modes)),
+                int(rng.integers(scenario.n_boundaries)),
+                float(rng.uniform(0.05, 1.0)),
+                float(rng.uniform(0.5, 2.0)),
+            )
+            for _ in range(n)
+        ]
+        specs = [PointerSpec(f"p{k}", *p) for k, p in enumerate(pointers)]
+        readouts = postselect_and_readout(couple_pointers(scenario, specs), scenario.postselect)
+        probability, mean_x, mean_p = full_sum_pointer_readout(
+            stages, pre, post, pointers, pol_dim
+        )
+        for k, readout in enumerate(readouts):
+            assert readout.postselection_probability == pytest.approx(probability, abs=1e-12)
+            assert readout.mean_position_shift == pytest.approx(mean_x[k], abs=1e-12)
+            assert readout.mean_momentum_shift == pytest.approx(mean_p[k], abs=1e-12)
+
 
 class TestWeakLimitSweep:
     def test_inner_arm_converges_to_half(self, fig1):
@@ -265,3 +329,13 @@ class TestWeakLimitSweep:
         scenario = parse_scenario("modes A B\npreselect 1@A\npostselect 1@B\n")
         with pytest.raises(DegeneratePostselectionError):
             weak_limit_sweep(scenario, PointerSpec("p", "A", 0, 0.0), [0.1])
+
+    @pytest.mark.parametrize("g", [math.inf, math.nan])
+    def test_nonfinite_strength_rejected(self, fig1, g):
+        with pytest.raises(ValueError):
+            weak_limit_sweep(fig1, PointerSpec("pB", "B", 2, 0.0), [g])
+
+    @pytest.mark.parametrize("option", [["--g", "inf"], ["--g", "0.5", "--sigma", "inf"]])
+    def test_cli_nonfinite_exits_2(self, option, capsys):
+        assert execute(["sweep", "fig1", "--arm", "B", *option]) == 2
+        assert "nan" not in capsys.readouterr().out.lower()
