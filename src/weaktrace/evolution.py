@@ -4,7 +4,9 @@ A :class:`Scenario` is an ordered list of unitary stages between a
 preselected state (boundary 0) and a postselected state (final boundary).
 Boundary ``b`` denotes the instant after stage ``b``; the forward state is
 the preselection pushed up to a boundary, the backward state is the
-postselection pulled down to it through adjoint stages.  Transition
+postselection pulled down to it through adjoint stages.  Both are computed
+once per scenario, into the rows of :attr:`Scenario.boundary_states`, and
+every state, amplitude and weak value reads them from there.  Transition
 amplitudes pair the two at the same boundary, which makes the identity
 amplitude boundary-independent by unitarity.
 """
@@ -12,6 +14,9 @@ amplitude boundary-independent by unitarity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .optics import ElementSpec
 from .qstate import (
@@ -19,7 +24,6 @@ from .qstate import (
     DimensionError,
     Operator,
     StateVector,
-    adjoint,
     apply,
     identity,
     inner,
@@ -65,6 +69,9 @@ class Scenario:
     invariants (normalization, unitarity, adjacency closure) are reported
     by ``scendsl.validate`` so that broken scenarios can be diagnosed
     instead of being unrepresentable.
+
+    ``boundary_states`` holds the forward and backward states at every
+    boundary as two read-only arrays, built on first use and kept here.
     """
 
     basis: BasisDescriptor
@@ -88,6 +95,19 @@ class Scenario:
     @property
     def n_boundaries(self) -> int:
         return len(self.stages) + 1
+
+    @cached_property
+    def boundary_states(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(fwd, bwd)``, each ``(n_boundaries, d)``, by ``U @ row`` and ``U† @ row`` sweeps."""
+        fwd, bwd = [self.preselect.amplitudes], [self.postselect.amplitudes]
+        for stage in self.stages:
+            fwd.append(stage.unitary.matrix @ fwd[-1])
+        for stage in reversed(self.stages):
+            bwd.insert(0, np.ascontiguousarray(stage.unitary.matrix.conj().T) @ bwd[0])
+        fwd, bwd = np.array(fwd), np.array(bwd)
+        fwd.setflags(write=False)
+        bwd.setflags(write=False)
+        return fwd, bwd
 
     def check_boundary(self, boundary: int) -> int:
         if not 0 <= boundary <= len(self.stages):
@@ -125,10 +145,7 @@ def total_unitary(scenario: Scenario) -> Operator:
 def forward_state(scenario: Scenario, boundary: int) -> StateVector:
     """Preselected state evolved through the first ``boundary`` stages."""
     scenario.check_boundary(boundary)
-    state = scenario.preselect
-    for stage in scenario.stages[:boundary]:
-        state = apply(stage.unitary, state)
-    return state
+    return StateVector(scenario.basis, scenario.boundary_states[0][boundary])
 
 
 def backward_state(scenario: Scenario, boundary: int) -> StateVector:
@@ -139,10 +156,7 @@ def backward_state(scenario: Scenario, boundary: int) -> StateVector:
     transition amplitude.
     """
     scenario.check_boundary(boundary)
-    state = scenario.postselect
-    for stage in reversed(scenario.stages[boundary:]):
-        state = apply(adjoint(stage.unitary), state)
-    return state
+    return StateVector(scenario.basis, scenario.boundary_states[1][boundary])
 
 
 def transition_amplitude(scenario: Scenario, observable: Operator, boundary: int) -> complex:
@@ -155,11 +169,7 @@ def transition_amplitude(scenario: Scenario, observable: Operator, boundary: int
     return inner(backward_state(scenario, boundary), apply(observable, forward_state(scenario, boundary)))
 
 
-def postselect_amplitude(scenario: Scenario) -> complex:
-    """Overlap of the postselection with the fully evolved preselection."""
-    return inner(scenario.postselect, forward_state(scenario, len(scenario.stages)))
-
-
 def postselect_probability(scenario: Scenario) -> float:
     """Probability of the post-selection outcome, ``|<psi_f|U|psi_i>|²``."""
-    return abs(postselect_amplitude(scenario)) ** 2
+    fwd, bwd = scenario.boundary_states
+    return abs(complex(np.vdot(bwd[-1], fwd[-1]))) ** 2

@@ -215,16 +215,18 @@ class Operator:
         )
 
 
+def _close(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
+    """``np.allclose(a, b, rtol=0, atol=atol)``, equal infinities included, minus its overhead."""
+    with np.errstate(invalid="ignore"):
+        return bool(np.all((np.abs(a - b) <= atol) | (a == b)))
+
+
 def is_unitary_matrix(mat: np.ndarray, atol: float = ATOL) -> bool:
-    eye = np.eye(mat.shape[0])
-    return bool(np.allclose(mat.conj().T @ mat, eye, rtol=0.0, atol=atol))
+    return _close(mat.conj().T @ mat, np.eye(mat.shape[0]), atol)
 
 
 def is_projector_matrix(mat: np.ndarray, atol: float = ATOL) -> bool:
-    return bool(
-        np.allclose(mat @ mat, mat, rtol=0.0, atol=atol)
-        and np.allclose(mat.conj().T, mat, rtol=0.0, atol=atol)
-    )
+    return _close(mat @ mat, mat, atol) and _close(mat.conj().T, mat, atol)
 
 
 def _require_same_basis(a: BasisDescriptor, b: BasisDescriptor) -> None:

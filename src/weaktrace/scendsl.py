@@ -36,7 +36,7 @@ import numpy as np
 
 from .evolution import DETECTOR, SOURCE, Scenario, Slot, Stage
 from .optics import ElementSpec, element_operator
-from .qstate import ATOL, BasisDescriptor, StateVector, identity, is_unitary_matrix
+from .qstate import ATOL, BasisDescriptor, Operator, StateVector, is_unitary_matrix
 
 SENTINELS = (SOURCE, DETECTOR)
 
@@ -257,7 +257,7 @@ class _Parser:
         self.basis: BasisDescriptor | None = None
         self.preselect: np.ndarray | None = None
         self.postselect: np.ndarray | None = None
-        self.stages: list[tuple[str, list[ElementSpec]]] = []
+        self.stages: list[tuple[str, list[ElementSpec], list[Operator]]] = []
         self.slots: list[Slot] = []
         self.adjacency: set[tuple[str, str]] = set()
 
@@ -295,12 +295,8 @@ class _Parser:
             self.fail("missing postselect directive", tail)
         basis = self.need_basis(tail)
         stages = tuple(
-            Stage(
-                label=label,
-                unitary=_stage_unitary(basis, elements),
-                elements=tuple(elements),
-            )
-            for label, elements in self.stages
+            Stage(label, _stage_unitary(basis, operators), tuple(elements))
+            for label, elements, operators in self.stages
         )
         scenario = Scenario(
             basis=basis,
@@ -364,9 +360,9 @@ class _Parser:
     def _directive_stage(self, row: list[_Token]) -> None:
         (label,) = self.args(row, 1)
         self.need_basis(row[0])
-        if any(existing == label.text for existing, _ in self.stages):
+        if any(existing == label.text for existing, _, _ in self.stages):
             self.fail(f"duplicate stage label {label.text!r}", label)
-        self.stages.append((label.text, []))
+        self.stages.append((label.text, [], []))
 
     def _append_element(self, head: _Token, spec_builder) -> None:
         self.need_basis(head)
@@ -374,12 +370,13 @@ class _Parser:
             self.fail(f"{head.text} must appear inside a stage", head)
         try:
             spec = spec_builder()
-            element_operator(spec, self.basis)
+            operator = element_operator(spec, self.basis)
         except ScenarioParseError:
             raise
         except ValueError as exc:
             self.fail(str(exc), head)
         self.stages[-1][1].append(spec)
+        self.stages[-1][2].append(operator)
 
     def _arm_token(self, tok: _Token) -> str:
         if self.modes is None or tok.text not in self.modes:
@@ -450,11 +447,12 @@ class _Parser:
         self.adjacency.add(tuple(sorted(ends)))
 
 
-def _stage_unitary(basis: BasisDescriptor, elements: list[ElementSpec]):
-    op = identity(basis)
-    for spec in elements:
-        op = element_operator(spec, basis) @ op
-    return op
+def _stage_unitary(basis: BasisDescriptor, operators: list[Operator]) -> Operator:
+    """Product of the element operators in order; checked once if all are unitary."""
+    matrix = np.eye(basis.dimension, dtype=np.complex128)
+    for op in operators:
+        matrix = op.matrix @ matrix
+    return Operator(basis, matrix, unitary=all(op.unitary for op in operators))
 
 
 def parse_scenario(text: str, name: str = "") -> Scenario:
@@ -551,27 +549,6 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
             problems.append(Diagnostic("slot", f"duplicate slot name {slot.name!r}"))
         seen_slots.add(slot.name)
     return problems
-
-
-def scenarios_equivalent(a: Scenario, b: Scenario, atol: float = ATOL) -> bool:
-    """Structural equality with amplitude tolerance (scenario names ignored)."""
-    if a.basis != b.basis:
-        return False
-    if len(a.stages) != len(b.stages):
-        return False
-    for sa, sb in zip(a.stages, b.stages):
-        if sa.label != sb.label or sa.elements != sb.elements:
-            return False
-        if not np.allclose(sa.unitary.matrix, sb.unitary.matrix, rtol=0.0, atol=atol):
-            return False
-    if a.coupling_slots != b.coupling_slots:
-        return False
-    if sorted(set(map(tuple, a.adjacency))) != sorted(set(map(tuple, b.adjacency))):
-        return False
-    return bool(
-        np.allclose(a.preselect.amplitudes, b.preselect.amplitudes, rtol=0.0, atol=atol)
-        and np.allclose(a.postselect.amplitudes, b.postselect.amplitudes, rtol=0.0, atol=atol)
-    )
 
 
 FIG1_TEXT = """\

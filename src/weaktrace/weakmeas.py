@@ -3,7 +3,7 @@
 Two routes to the same physics live here:
 
 * the analytic weak value, a ratio of transition amplitudes evaluated at a
-  stage boundary;
+  stage boundary from the scenario's forward and backward state rows;
 * an exact simulation of von Neumann pointer couplings at finite strength.
 
 A coupling of strength ``g`` to an arm projector conditionally translates a
@@ -31,15 +31,15 @@ In the weak limit the post-selected position shift approaches
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .evolution import Scenario, transition_amplitude
-from .optics import arm_projector
-from .qstate import BasisDescriptor, Operator, StateVector, _require_same_basis, identity
+from .evolution import Scenario
+from .qstate import BasisDescriptor, Operator, StateVector, _require_same_basis
 
 #: Below this post-selection amplitude magnitude the weak value is treated
 #: as undefined: pre/post states are normalized, so an exact-zero overlap
@@ -171,21 +171,19 @@ class SweepReport:
     fitted_disturbance_order: float
 
 
-def weak_value(
-    scenario: Scenario,
-    observable: Operator,
-    boundary: int,
-    arm: str | None = None,
-) -> WeakValueResult:
-    """Ratio of the observable's transition amplitude to the post-selection amplitude."""
+def _ratio(scenario: Scenario, boundary: int, arm: str | None, observe) -> WeakValueResult:
+    """``<bwd|observe(fwd)> / <bwd|fwd>`` on the two state rows of ``boundary``."""
     scenario.check_boundary(boundary)
-    denominator = transition_amplitude(scenario, identity(scenario.basis), boundary)
+    fwd, bwd = scenario.boundary_states
+    denominator = complex(np.vdot(bwd[boundary], fwd[boundary]))
+    numerator = complex(np.vdot(bwd[boundary], observe(fwd[boundary])))
+    if not (cmath.isfinite(numerator) and cmath.isfinite(denominator)):
+        raise ValueError("non-finite inner product")
     if abs(denominator) <= EPSILON_DENOMINATOR:
         raise DegeneratePostselectionError(
             f"post-selection amplitude {abs(denominator):.3e} below {EPSILON_DENOMINATOR:.0e}; "
             "weak value undefined"
         )
-    numerator = transition_amplitude(scenario, observable, boundary)
     return WeakValueResult(
         arm=arm,
         boundary=boundary,
@@ -195,21 +193,33 @@ def weak_value(
     )
 
 
+def _arm_ratio(scenario: Scenario, arm: str, boundary: int) -> WeakValueResult:
+    """Weak value of the projector onto ``arm``: the fwd row with the other rows zeroed."""
+    on_arm = np.zeros(scenario.basis.dimension, dtype=bool)
+    on_arm[list(scenario.basis.arm_indices(arm))] = True
+    return _ratio(scenario, boundary, arm, lambda row: np.where(on_arm, row, 0.0))
+
+
+def weak_value(
+    scenario: Scenario, observable: Operator, boundary: int, arm: str | None = None
+) -> WeakValueResult:
+    """Ratio of the observable's transition amplitude to the post-selection amplitude."""
+    _require_same_basis(observable.basis, scenario.basis)
+    return _ratio(scenario, boundary, arm, lambda row: observable.matrix @ row)
+
+
 def arm_weak_value(scenario: Scenario, arm: str, boundary: int | None = None) -> WeakValueResult:
     """Weak value of an arm projector, at its canonical boundary by default."""
     if boundary is None:
         boundary = dict(scenario.canonical_slots()).get(arm)
         if boundary is None:
             raise ValueError(f"arm {arm!r} has no canonical coupling slot")
-    return weak_value(scenario, arm_projector(scenario.basis, arm), boundary, arm=arm)
+    return _arm_ratio(scenario, arm, boundary)
 
 
 def weak_value_table(scenario: Scenario) -> tuple[WeakValueResult, ...]:
     """Weak values at every canonical (arm, boundary) slot."""
-    return tuple(
-        weak_value(scenario, arm_projector(scenario.basis, arm), boundary, arm=arm)
-        for arm, boundary in scenario.canonical_slots()
-    )
+    return tuple(_arm_ratio(scenario, arm, boundary) for arm, boundary in scenario.canonical_slots())
 
 
 def couple_pointers(scenario: Scenario, pointers: list[PointerSpec]) -> PointerEnsemble:
@@ -277,6 +287,10 @@ def postselect_and_readout(
         mean_x = float(np.sum(cross * centers).real) / probability
         momenta = 1j * diff[:, :, k] / (4.0 * widths[k] ** 2)
         mean_p = float(np.sum(cross * momenta).real) / probability
+        if not (math.isfinite(mean_x) and math.isfinite(mean_p)):  # NaN probability too
+            raise UndefinedReadoutError(
+                f"pointer {spec.name!r} mean is not finite; readout undefined"
+            )
         readouts.append(
             PointerReadout(
                 name=spec.name,

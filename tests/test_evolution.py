@@ -11,7 +11,7 @@ from weaktrace.evolution import (
     transition_amplitude,
 )
 from weaktrace.optics import arm_projector
-from weaktrace.qstate import ATOL, BasisDescriptor, StateVector, identity
+from weaktrace.qstate import ATOL, BasisDescriptor, StateVector, adjoint, apply, identity
 from weaktrace.scendsl import parse_scenario
 
 from oracles import (
@@ -184,3 +184,30 @@ class TestScenarioStructure:
                 preselect=StateVector.basis_state(other, "X"),
                 postselect=fig1.postselect,
             )
+
+
+class TestBoundaryStates:
+    @pytest.mark.parametrize("name", ["fig1", "fig2"])
+    def test_shape_and_read_only(self, name, request):
+        scenario = request.getfixturevalue(name)
+        for rows in scenario.boundary_states:
+            assert rows.shape == (scenario.n_boundaries, scenario.basis.dimension)
+            assert rows.dtype == np.complex128
+            with pytest.raises(ValueError):
+                rows[0, 0] = 0.0
+
+    def test_built_once_per_scenario(self, fig1):
+        assert fig1.boundary_states is fig1.boundary_states
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2"])
+    def test_rows_equal_stagewise_apply_and_adjoint(self, name, request):
+        scenario = request.getfixturevalue(name)
+        forward = [scenario.preselect]
+        for stage in scenario.stages:
+            forward.append(apply(stage.unitary, forward[-1]))
+        backward = [scenario.postselect]
+        for stage in reversed(scenario.stages):
+            backward.insert(0, apply(adjoint(stage.unitary), backward[0]))
+        fwd, bwd = scenario.boundary_states
+        np.testing.assert_array_equal(fwd, [state.amplitudes for state in forward])
+        np.testing.assert_array_equal(bwd, [state.amplitudes for state in backward])

@@ -11,6 +11,7 @@ from weaktrace.trace import (
     presence_map,
     trace_verdict,
 )
+from weaktrace.weakmeas import DegeneratePostselectionError
 
 
 def relabel(text, mapping):
@@ -122,3 +123,9 @@ class TestContinuityCheck:
             assert sorted(
                 tuple(mapping[a] for a in component.arms) for component in original.components
             ) == sorted(component.arms for component in renamed.components), scenario.name
+
+
+def test_degenerate_postselection_rejected():
+    scenario = parse_scenario("modes A B\npreselect 1@A\npostselect 1@B\n")
+    with pytest.raises(DegeneratePostselectionError):
+        trace_verdict(scenario)

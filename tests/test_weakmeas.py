@@ -339,3 +339,28 @@ class TestWeakLimitSweep:
     def test_cli_nonfinite_exits_2(self, option, capsys):
         assert execute(["sweep", "fig1", "--arm", "B", *option]) == 2
         assert "nan" not in capsys.readouterr().out.lower()
+
+
+DEGENERATE_TEXT = "modes A B\npreselect 1@A\npostselect 1@B\n"
+
+
+def test_degenerate_postselection_table_rejected():
+    scenario = parse_scenario(DEGENERATE_TEXT)
+    with pytest.raises(DegeneratePostselectionError):
+        weak_value_table(scenario)
+    with pytest.raises(DegeneratePostselectionError):
+        arm_weak_value(scenario, "A")
+
+
+@pytest.mark.parametrize("width", [1e-200, 1e-160])
+def test_tiny_width_readout_rejected(fig1, width):
+    ensemble = couple_pointers(fig1, [PointerSpec("p", "B", 2, 0.1, width)])
+    with pytest.raises(UndefinedReadoutError):
+        postselect_and_readout(ensemble, fig1.postselect)
+
+
+@pytest.mark.parametrize("sigma", ["1e-200", "1e-160"])
+def test_cli_tiny_width_exits_2(sigma, capsys):
+    argv = ["sweep", "fig1", "--arm", "B", "--g", "0.1", "--sigma", sigma, "--format", "json"]
+    assert execute(argv) == 2
+    assert capsys.readouterr().out == ""
