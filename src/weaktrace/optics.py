@@ -8,8 +8,8 @@ Conventions, fixed globally:
 * Wave plates apply the real rotation ``[[cos a, -sin a], [sin a, cos a]]``
   on the (H, V) factor of a single arm, so ``a = +pi/4`` maps H to the
   diagonal state (H+V)/sqrt2 and ``a = -pi/4`` to the antidiagonal one.
-* A polarizer is a projector (folded into post-selection by scenarios), not
-  a lossy channel: only post-selected statistics are modeled.
+* A polarizer is not a stage element: :func:`polarizer_projector` builds the
+  projector, and only post-selected statistics are modeled.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import ATOL, BasisDescriptor, Operator, UnknownLabelError, embed
+from .qstate import BasisDescriptor, Operator, UnknownLabelError, embed
 
 #: Element kinds a stage may carry.
-ELEMENT_KINDS = ("beamsplitter", "phaseshifter", "waveplate", "polarizer", "mirror")
+ELEMENT_KINDS = ("beamsplitter", "phaseshifter", "waveplate", "mirror")
 
 POLARIZER_AXES = ("H", "V", "diag", "antidiag")
 
@@ -31,9 +31,8 @@ class ElementSpec:
     """Declarative record of one optical element.
 
     ``operands`` holds arm labels: the routed 4-tuple
-    ``(in1, in2, out1, out2)`` for a beamsplitter, a single arm otherwise
-    (empty for a polarizer, which acts on every arm).  ``parameters`` holds
-    angles in radians; a polarizer instead stores its axis label.
+    ``(in1, in2, out1, out2)`` for a beamsplitter, a single arm otherwise.
+    ``parameters`` holds angles in radians (none for a mirror).
     """
 
     kind: str
@@ -53,9 +52,6 @@ class ElementSpec:
             in1, in2, out1, out2 = self.operands
             if in1 == in2 or out1 == out2:
                 raise ValueError(f"beamsplitter operands identical: {self.operands}")
-        elif self.kind == "polarizer":
-            if self.operands:
-                raise ValueError("polarizer takes no arm operands")
         elif len(self.operands) != 1:
             raise ValueError(f"{self.kind} takes a single arm, got {self.operands}")
 
@@ -78,21 +74,6 @@ def beamsplitter(basis: BasisDescriptor, pair: tuple[str, str], angle: float) ->
     return embed(_mixing_matrix(angle), basis, arms=(a, b))
 
 
-def _transpositions(basis: BasisDescriptor, swaps: list[tuple[str, str]]) -> Operator:
-    """Permutation operator from disjoint label transpositions."""
-    perm = {arm: arm for arm in basis.path_modes}
-    for a, b in swaps:
-        perm[a], perm[b] = perm[b], perm[a]
-    dim = basis.dimension
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    for arm in basis.path_modes:
-        src = basis.arm_indices(arm)
-        dst = basis.arm_indices(perm[arm])
-        for i, j in zip(dst, src):
-            mat[i, j] = 1.0
-    return Operator(basis, mat, unitary=True)
-
-
 def routed_beamsplitter(
     basis: BasisDescriptor,
     inputs: tuple[str, str],
@@ -103,9 +84,12 @@ def routed_beamsplitter(
 
     ``inputs[0]`` maps to ``cos(angle)*outputs[0] + i sin(angle)*outputs[1]``
     and ``inputs[1]`` to ``i sin(angle)*outputs[0] + cos(angle)*outputs[1]``.
-    Freed labels swap back onto the vacated ones, which keeps the operator
-    unitary; those return branches carry no amplitude in feed-forward
-    scenarios.  When inputs equal outputs this reduces to :func:`beamsplitter`.
+    The matrix is the in-place mixer on ``outputs`` with its columns
+    relabelled: column ``j`` is the mixer's column ``columns[j]``, where each
+    input arm's indices swap with its output arm's.  Freed labels thus swap
+    back onto the vacated ones, which keeps the operator unitary; those
+    return branches carry no amplitude in feed-forward scenarios.  When inputs
+    equal outputs this reduces to :func:`beamsplitter`.
     """
     in1, in2 = inputs
     out1, out2 = outputs
@@ -122,10 +106,12 @@ def routed_beamsplitter(
         raise ValueError(
             f"beamsplitter routing {inputs} -> {outputs} is not a disjoint relabeling"
         )
+    columns = np.arange(basis.dimension)
+    for a, b in swaps:
+        ia, ib = list(basis.arm_indices(a)), list(basis.arm_indices(b))
+        columns[ia], columns[ib] = ib, ia
     mixer = beamsplitter(basis, (out1, out2), angle)
-    if not swaps:
-        return mixer
-    return mixer @ _transpositions(basis, swaps)
+    return Operator(basis, mixer.matrix[:, columns], unitary=True)
 
 
 def waveplate(basis: BasisDescriptor, arm: str, angle: float) -> Operator:
@@ -194,7 +180,4 @@ def element_operator(spec: ElementSpec, basis: BasisDescriptor) -> Operator:
     if spec.kind == "mirror":
         (arm,) = spec.operands
         return mirror(basis, arm)
-    if spec.kind == "polarizer":
-        (axis,) = spec.parameters
-        return polarizer_projector(basis, axis)
     raise ValueError(f"unknown element kind {spec.kind!r}")

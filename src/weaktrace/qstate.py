@@ -163,19 +163,6 @@ class StateVector:
     def arm_norm(self, arm: str) -> float:
         return float(np.linalg.norm(self.arm_amplitudes(arm)))
 
-    def __add__(self, other: "StateVector") -> "StateVector":
-        _require_same_basis(self.basis, other.basis)
-        return StateVector(self.basis, self.amplitudes + other.amplitudes)
-
-    def __sub__(self, other: "StateVector") -> "StateVector":
-        _require_same_basis(self.basis, other.basis)
-        return StateVector(self.basis, self.amplitudes - other.amplitudes)
-
-    def __mul__(self, scalar: complex) -> "StateVector":
-        return StateVector(self.basis, self.amplitudes * scalar)
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True, eq=False)
 class Operator:

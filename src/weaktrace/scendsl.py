@@ -27,6 +27,7 @@ round-trips bit-exactly.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass, replace
@@ -62,22 +63,6 @@ class Diagnostic:
 
 
 @dataclass(frozen=True)
-class DirectiveSpan:
-    keyword: str
-    line: int
-    column: int
-    end_column: int
-
-
-@dataclass(frozen=True)
-class ScenarioSource:
-    """Raw scenario text with the resolved span of every directive."""
-
-    text: str
-    directives: tuple[DirectiveSpan, ...]
-
-
-@dataclass(frozen=True)
 class _Token:
     text: str
     line: int
@@ -98,59 +83,47 @@ def _tokenize(text: str) -> list[list[_Token]]:
     return rows
 
 
-def scan(text: str) -> ScenarioSource:
-    """Lexical pass only: locate every directive without interpreting it."""
-    spans = []
-    for row in _tokenize(text):
-        head, last = row[0], row[-1]
-        spans.append(
-            DirectiveSpan(
-                keyword=head.text,
-                line=head.line,
-                column=head.column,
-                end_column=last.column + len(last.text),
-            )
-        )
-    return ScenarioSource(text=text, directives=tuple(spans))
-
-
 _RATIONAL_RE = re.compile(r"^[+-]?\d+/\d+$")
 _IMAG_RATIONAL_RE = re.compile(r"^([+-]?)i/(\d+)$")
 _PI_RE = re.compile(r"^([+-]?)(\d*)pi(?:/(\d+))?$")
 
 
 def parse_amplitude(token: str) -> complex:
-    """Parse one amplitude literal; raises ValueError on malformed input."""
+    """Parse one amplitude literal; raises ValueError on malformed or non-finite input."""
     if token.endswith("/sqrt2"):
         return parse_amplitude(token[: -len("/sqrt2")]) / _SQRT2
-    if _RATIONAL_RE.match(token):
-        num, den = token.split("/")
-        return complex(Fraction(int(num), int(den)))
-    m = _IMAG_RATIONAL_RE.match(token)
-    if m:
-        sign = -1.0 if m.group(1) == "-" else 1.0
-        return complex(0.0, sign / int(m.group(2)))
-    normalized = token
-    if normalized.endswith("i"):
-        normalized = normalized[:-1] + "j"
     try:
-        return complex(normalized)
-    except ValueError:
+        if _RATIONAL_RE.match(token):
+            num, den = token.split("/")
+            value = complex(Fraction(int(num), int(den)))
+        elif m := _IMAG_RATIONAL_RE.match(token):
+            sign = -1.0 if m.group(1) == "-" else 1.0
+            value = complex(0.0, sign / int(m.group(2)))
+        else:
+            value = complex(token[:-1] + "j" if token.endswith("i") else token)
+        if not cmath.isfinite(value):
+            raise ValueError
+    except (ValueError, ArithmeticError):
         raise ValueError(f"malformed amplitude {token!r}") from None
+    return value
 
 
 def parse_angle(token: str) -> float:
-    """Parse an angle literal: pi-rational or decimal radians."""
+    """Parse an angle literal, pi-rational or decimal radians; rejects non-finite values."""
     m = _PI_RE.match(token)
-    if m:
-        sign = -1.0 if m.group(1) == "-" else 1.0
-        k = int(m.group(2)) if m.group(2) else 1
-        n = int(m.group(3)) if m.group(3) else 1
-        return sign * (k * math.pi) / n
     try:
-        return float(token)
-    except ValueError:
+        if m:
+            sign = -1.0 if m.group(1) == "-" else 1.0
+            k = int(m.group(2)) if m.group(2) else 1
+            n = int(m.group(3)) if m.group(3) else 1
+            value = sign * (k * math.pi) / n
+        else:
+            value = float(token)
+        if not math.isfinite(value):
+            raise ValueError
+    except (ValueError, ArithmeticError):
         raise ValueError(f"malformed angle {token!r}") from None
+    return value
 
 
 _NICE_REALS: dict[float, str] = {

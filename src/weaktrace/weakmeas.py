@@ -273,33 +273,35 @@ def postselect_and_readout(
     live = weights != 0.0
     weights, shifts = weights[live], ensemble.shifts[live]
     widths = np.array(ensemble.widths, dtype=np.float64)
-    diff = shifts[:, None, :] - shifts[None, :, :]
-    log_overlap = -np.sum(diff**2 / (8.0 * widths**2), axis=-1)
-    cross = np.conj(weights)[:, None] * weights[None, :] * np.exp(log_overlap)
-    probability = float(np.sum(cross).real)
-    if probability <= 1e-30:
-        raise UndefinedReadoutError(
-            f"post-selection probability {probability:.3e} vanishes; readout undefined"
-        )
-    readouts = []
-    for k, spec in enumerate(ensemble.specs):
-        centers = (shifts[:, None, k] + shifts[None, :, k]) / 2.0
-        mean_x = float(np.sum(cross * centers).real) / probability
-        momenta = 1j * diff[:, :, k] / (4.0 * widths[k] ** 2)
-        mean_p = float(np.sum(cross * momenta).real) / probability
-        if not (math.isfinite(mean_x) and math.isfinite(mean_p)):  # NaN probability too
+    # A width whose square underflows gives 0/0 here; the finiteness check raises.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        diff = shifts[:, None, :] - shifts[None, :, :]
+        log_overlap = -np.sum(diff**2 / (8.0 * widths**2), axis=-1)
+        cross = np.conj(weights)[:, None] * weights[None, :] * np.exp(log_overlap)
+        probability = float(np.sum(cross).real)
+        if probability <= 1e-30:
             raise UndefinedReadoutError(
-                f"pointer {spec.name!r} mean is not finite; readout undefined"
+                f"post-selection probability {probability:.3e} vanishes; readout undefined"
             )
-        readouts.append(
-            PointerReadout(
-                name=spec.name,
-                arm=spec.arm,
-                mean_position_shift=mean_x,
-                mean_momentum_shift=mean_p,
-                postselection_probability=probability,
+        readouts = []
+        for k, spec in enumerate(ensemble.specs):
+            centers = (shifts[:, None, k] + shifts[None, :, k]) / 2.0
+            mean_x = float(np.sum(cross * centers).real) / probability
+            momenta = 1j * diff[:, :, k] / (4.0 * widths[k] ** 2)
+            mean_p = float(np.sum(cross * momenta).real) / probability
+            if not (math.isfinite(mean_x) and math.isfinite(mean_p)):  # NaN probability too
+                raise UndefinedReadoutError(
+                    f"pointer {spec.name!r} mean is not finite; readout undefined"
+                )
+            readouts.append(
+                PointerReadout(
+                    name=spec.name,
+                    arm=spec.arm,
+                    mean_position_shift=mean_x,
+                    mean_momentum_shift=mean_p,
+                    postselection_probability=probability,
+                )
             )
-        )
     return tuple(readouts)
 
 
