@@ -111,7 +111,7 @@ def routed_beamsplitter(
         ia, ib = list(basis.arm_indices(a)), list(basis.arm_indices(b))
         columns[ia], columns[ib] = ib, ia
     mixer = beamsplitter(basis, (out1, out2), angle)
-    return Operator(basis, mixer.matrix[:, columns], unitary=True)
+    return Operator(basis, mixer.matrix[:, columns])
 
 
 def waveplate(basis: BasisDescriptor, arm: str, angle: float) -> Operator:
@@ -127,7 +127,7 @@ def polarizer_projector(basis: BasisDescriptor, axis: str) -> Operator:
     """Projector onto one polarization axis, identity on the path factor.
 
     ``axis`` is one of H, V, diag ((H+V)/sqrt2) or antidiag ((H-V)/sqrt2).
-    The result is flagged as a projector and is not unitary.
+    The result is a projector and is not unitary.
     """
     if not basis.polarization_enabled:
         raise ValueError("polarizer requires a polarization-enabled basis")
@@ -149,7 +149,7 @@ def arm_projector(basis: BasisDescriptor, arm: str) -> Operator:
     diag = np.zeros(basis.dimension, dtype=np.complex128)
     for i in basis.arm_indices(arm):
         diag[i] = 1.0
-    return Operator(basis, np.diag(diag), projector=True)
+    return Operator(basis, np.diag(diag))
 
 
 def phaseshifter(basis: BasisDescriptor, arm: str, phase: float) -> Operator:

@@ -1,15 +1,17 @@
 """Exact complex vector-space core: composite bases, states and operators.
 
 Everything here is dense ``numpy.complex128``: the interferometers this
-package targets have at most a handful of path modes and an optional
-two-level polarization factor, so dimensions stay small (<= 16) and
-exactness matters more than scale.  All values are immutable after
+package targets have a few dozen path modes at most and an optional
+two-level polarization factor, so dimensions stay in the tens (a
+seven-loop generated chain with polarization has 54) and exactness
+matters more than scale.  All values are immutable after
 construction and all operations are pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -168,15 +170,15 @@ class StateVector:
 class Operator:
     """Dense complex matrix on a composite basis.
 
-    The ``unitary`` and ``projector`` flags are assertions: setting one at
-    construction checks the defining identity (within ``ATOL``) and raises
-    if it fails.
+    Construction only converts, checks shape and finiteness, and freezes
+    the matrix.  ``unitary`` and ``projector`` are facts about that matrix,
+    computed (within ``ATOL``) the first time they are read and cached, so
+    the edges that must enforce them, such as :func:`scendsl.validate` for
+    stage unitaries, pay for one check per operator.
     """
 
     basis: BasisDescriptor
     matrix: np.ndarray
-    unitary: bool = False
-    projector: bool = False
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.matrix, dtype=np.complex128)
@@ -188,18 +190,18 @@ class Operator:
         mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-        if self.unitary and not is_unitary_matrix(mat):
-            raise ValueError("unitary flag set but U†U != 1 within tolerance")
-        if self.projector and not is_projector_matrix(mat):
-            raise ValueError("projector flag set but P² != P or P† != P within tolerance")
+
+    @cached_property
+    def unitary(self) -> bool:
+        return is_unitary_matrix(self.matrix)
+
+    @cached_property
+    def projector(self) -> bool:
+        return is_projector_matrix(self.matrix)
 
     def __matmul__(self, other: "Operator") -> "Operator":
         _require_same_basis(self.basis, other.basis)
-        return Operator(
-            self.basis,
-            self.matrix @ other.matrix,
-            unitary=self.unitary and other.unitary,
-        )
+        return Operator(self.basis, self.matrix @ other.matrix)
 
 
 def _close(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
@@ -222,7 +224,7 @@ def _require_same_basis(a: BasisDescriptor, b: BasisDescriptor) -> None:
 
 
 def identity(basis: BasisDescriptor) -> Operator:
-    return Operator(basis, np.eye(basis.dimension), unitary=True, projector=True)
+    return Operator(basis, np.eye(basis.dimension))
 
 
 def inner(bra: StateVector, ket: StateVector) -> complex:
@@ -242,7 +244,7 @@ def apply(op: Operator, state: StateVector) -> StateVector:
 
 def adjoint(op: Operator) -> Operator:
     """Conjugate transpose.  ``adjoint(adjoint(op))`` equals ``op`` exactly."""
-    return Operator(op.basis, op.matrix.conj().T, unitary=op.unitary, projector=op.projector)
+    return Operator(op.basis, op.matrix.conj().T)
 
 
 def embed(
@@ -263,9 +265,6 @@ def embed(
     With ``on_polarization=True`` the local ``2 x 2`` matrix
     acts on the (H, V) factor of each listed arm (all arms when ``arms`` is
     None) and leaves every other arm untouched.
-
-    The unitary and projector flags of the result are detected from the
-    local matrix: identity blocks keep both properties intact.
     """
     local = np.asarray(local, dtype=np.complex128)
     if local.ndim != 2 or local.shape[0] != local.shape[1]:
@@ -293,9 +292,4 @@ def embed(
         for pol_offset in range(basis.pol_dim):
             block = [basis.arm_indices(a)[pol_offset] for a in arms]
             full[np.ix_(block, block)] = local
-    return Operator(
-        basis,
-        full,
-        unitary=is_unitary_matrix(local),
-        projector=is_projector_matrix(local),
-    )
+    return Operator(basis, full)

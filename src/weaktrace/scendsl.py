@@ -37,7 +37,7 @@ import numpy as np
 
 from .evolution import DETECTOR, SOURCE, Scenario, Slot, Stage
 from .optics import ElementSpec, element_operator
-from .qstate import ATOL, BasisDescriptor, Operator, StateVector, is_unitary_matrix
+from .qstate import ATOL, BasisDescriptor, Operator, StateVector
 
 SENTINELS = (SOURCE, DETECTOR)
 
@@ -310,25 +310,19 @@ class _Parser:
             self.fail(f"polarization expects 'on' or 'off', got {arg.text!r}", arg)
         self.polarization = arg.text == "on"
 
-    def _directive_preselect(self, row: list[_Token]) -> None:
-        if self.preselect is not None:
-            self.fail("duplicate preselect directive", row[0])
+    def _state_directive(self, row: list[_Token]) -> None:
+        role = row[0].text
+        if getattr(self, role) is not None:
+            self.fail(f"duplicate {role} directive", row[0])
         basis = self.need_basis(row[0])
         amps = _state_terms(row[0], row[1:], basis)
-        norm = float(np.linalg.norm(amps))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > ATOL:
-            self.fail(f"preselect state is not normalized (norm={norm!r})", row[0])
-        self.preselect = amps
+            self.fail(f"{role} state is not normalized (norm={norm!r})", row[0])
+        setattr(self, role, amps)
 
-    def _directive_postselect(self, row: list[_Token]) -> None:
-        if self.postselect is not None:
-            self.fail("duplicate postselect directive", row[0])
-        basis = self.need_basis(row[0])
-        amps = _state_terms(row[0], row[1:], basis)
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > ATOL:
-            self.fail(f"postselect state is not normalized (norm={norm!r})", row[0])
-        self.postselect = amps
+    _directive_preselect = _directive_postselect = _state_directive
 
     def _directive_stage(self, row: list[_Token]) -> None:
         (label,) = self.args(row, 1)
@@ -421,11 +415,11 @@ class _Parser:
 
 
 def _stage_unitary(basis: BasisDescriptor, operators: list[Operator]) -> Operator:
-    """Product of the element operators in order; checked once if all are unitary."""
+    """Product of the element operators in order; :func:`validate` checks it is unitary."""
     matrix = np.eye(basis.dimension, dtype=np.complex128)
     for op in operators:
         matrix = op.matrix @ matrix
-    return Operator(basis, matrix, unitary=all(op.unitary for op in operators))
+    return Operator(basis, matrix)
 
 
 def parse_scenario(text: str, name: str = "") -> Scenario:
@@ -496,7 +490,7 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
                 Diagnostic("normalization", f"{role} state is not normalized (norm={norm!r})")
             )
     for stage in scenario.stages:
-        if not is_unitary_matrix(stage.unitary.matrix):
+        if not stage.unitary.unitary:
             problems.append(
                 Diagnostic("unitarity", f"stage {stage.label!r} is not unitary within {ATOL}")
             )

@@ -323,15 +323,17 @@ def weak_limit_sweep(
 ) -> SweepReport:
     """Exact finite-strength readouts over a descending strength schedule.
 
-    ``g_values`` must be non-increasing and nonnegative; zero entries record
-    the uncoupled baseline (shift exactly 0, probability P(0)) and are
-    excluded from the fits.
+    ``g_values`` must be strictly descending and nonnegative, with at least
+    one positive entry to fit; a final zero records the uncoupled baseline
+    (shift exactly 0, probability P(0)) and is excluded from the fits.
     """
     gs = [float(g) for g in g_values]
     if any(g < 0.0 for g in gs):
         raise ValueError("coupling strengths must be nonnegative")
     if any(a <= b for a, b in zip(gs, gs[1:])):
         raise ValueError("coupling strengths must be strictly descending")
+    if not any(g > 0.0 for g in gs):
+        raise ValueError("coupling strengths need at least one positive value")
     analytic = arm_weak_value(scenario, pointer.arm, pointer.boundary)
     p_zero = abs(analytic.denominator) ** 2
     entries = []

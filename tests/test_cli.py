@@ -57,6 +57,7 @@ def test_usage_error_exits_1(argv, capsys):
         "modes A B\npreselect nan@A\npostselect 1@B\n",
         "modes A B\npreselect 1/0@A\npostselect 1@B\n",
         "modes A B\npreselect 1@A\nstage s\nbeamsplitter A B inf\npostselect 1@B\n",
+        "modes A B\npreselect 1e200@A + 1e200@B\npostselect 1@B\n",
     ],
 )
 @pytest.mark.parametrize("command", ["weakvalues", "trace", "validate"])

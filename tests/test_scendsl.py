@@ -1,14 +1,25 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weaktrace import scendsl
+from weaktrace import qstate, scendsl
+from weaktrace.evolution import Slot, Stage
 from weaktrace.optics import element_operator
-from weaktrace.scendsl import FIG2_TEXT, ScenarioParseError, parse_scenario, serialize_scenario
+from weaktrace.qstate import Operator, StateVector
+from weaktrace.scendsl import (
+    BUILTIN_TEXTS,
+    FIG2_TEXT,
+    ScenarioParseError,
+    builtin_scenario,
+    parse_scenario,
+    serialize_scenario,
+    validate,
+)
 
 
 def test_each_element_operator_built_once(monkeypatch):
@@ -32,6 +43,54 @@ def test_stage_unitary_is_product_of_element_operators(fig2):
             expected = element_operator(spec, fig2.basis).matrix @ expected
         np.testing.assert_array_equal(stage.unitary.matrix, expected)
         assert stage.unitary.unitary
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_TEXTS))
+def test_each_stage_checked_unitary_once(name, monkeypatch):
+    calls = []
+    original = qstate.is_unitary_matrix
+
+    def counting(mat, *args):
+        calls.append(mat.shape)
+        return original(mat, *args)
+
+    monkeypatch.setattr(qstate, "is_unitary_matrix", counting)
+    scenario = parse_scenario(BUILTIN_TEXTS[name])
+    assert len(calls) == len(scenario.stages) == 3
+    assert all(stage.unitary.unitary for stage in scenario.stages)
+    assert len(calls) == 3
+
+
+def _scaled(state, factor):
+    return StateVector(state.basis, factor * state.amplitudes)
+
+
+def _doubling_stage(scenario):
+    double = Operator(scenario.basis, 2 * np.eye(scenario.basis.dimension))
+    return scenario.stages + (Stage("double", double),)
+
+
+@pytest.mark.parametrize(
+    "code, change",
+    [
+        ("normalization", lambda s: {"preselect": _scaled(s.preselect, 2.0)}),
+        ("normalization", lambda s: {"postselect": _scaled(s.postselect, 0.5)}),
+        ("unitarity", lambda s: {"stages": _doubling_stage(s)}),
+        ("adjacency", lambda s: {"adjacency": s.adjacency + (("A", "Z"),)}),
+        ("adjacency", lambda s: {"adjacency": s.adjacency + (("B", "B"),)}),
+        ("slot", lambda s: {"coupling_slots": s.coupling_slots + (Slot("late", 4),)}),
+        ("slot", lambda s: {"coupling_slots": s.coupling_slots + (Slot("A", 0),)}),
+    ],
+    ids=["preselect", "postselect", "stage", "unknown-arm", "self-edge", "range", "duplicate"],
+)
+def test_validate_reports_broken_invariant(fig1, code, change):
+    broken = replace(fig1, **change(fig1))
+    assert [problem.code for problem in validate(broken)] == [code]
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_TEXTS))
+def test_validate_accepts_builtins(name):
+    assert validate(builtin_scenario(name)) == []
 
 
 _PI_ANGLES = st.builds(

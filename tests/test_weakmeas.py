@@ -325,6 +325,17 @@ class TestWeakLimitSweep:
         with pytest.raises(ValueError):
             weak_limit_sweep(fig1, PointerSpec("pB", "B", 2, 0.0), [0.1, -0.1])
 
+    @pytest.mark.parametrize("g_values", [[0.0], []])
+    def test_no_positive_strength_rejected(self, fig1, g_values):
+        with pytest.raises(ValueError, match="positive"):
+            weak_limit_sweep(fig1, PointerSpec("pB", "B", 2, 0.0), g_values)
+
+    def test_cli_zero_strength_exits_2(self, capsys):
+        assert execute(["sweep", "fig1", "--arm", "B", "--g", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_degenerate_postselection_rejected(self):
         scenario = parse_scenario("modes A B\npreselect 1@A\npostselect 1@B\n")
         with pytest.raises(DegeneratePostselectionError):
