@@ -1,4 +1,4 @@
-"""Constructors for the optical-element operators used in interferometer stages.
+"""Optical elements and how each acts on the rows of a matrix.
 
 Conventions, fixed globally:
 
@@ -10,6 +10,12 @@ Conventions, fixed globally:
   diagonal state (H+V)/sqrt2 and ``a = -pi/4`` to the antidiagonal one.
 * A polarizer is not a stage element: :func:`polarizer_projector` builds the
   projector, and only post-selected statistics are modeled.
+
+:func:`apply_element` is the one place an element's matrix is defined: it
+left-multiplies the rows of a ``d x n`` array in place, touching only the
+rows of the arms the element names.  A parsed stage is the identity with
+each of its elements applied in turn; :func:`element_operator` and the
+per-kind constructors apply one element to the identity.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import BasisDescriptor, Operator, UnknownLabelError, embed
+from .qstate import BasisDescriptor, Operator
 
 #: Element kinds a stage may carry.
 ELEMENT_KINDS = ("beamsplitter", "phaseshifter", "waveplate", "mirror")
@@ -56,9 +62,44 @@ class ElementSpec:
             raise ValueError(f"{self.kind} takes a single arm, got {self.operands}")
 
 
-def _mixing_matrix(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, 1j * s], [1j * s, c]], dtype=np.complex128)
+def apply_element(spec: ElementSpec, basis: BasisDescriptor, rows: np.ndarray) -> None:
+    """Left-multiply the complex ``d x n`` array ``rows`` in place by the matrix of ``spec``.
+
+    Every check on ``spec`` against ``basis`` runs before the first write,
+    so ``rows`` is unchanged when this raises.
+    """
+    arm_rows = {arm: list(basis.arm_indices(arm)) for arm in spec.operands}
+    if spec.kind == "beamsplitter":
+        in1, in2, out1, out2 = spec.operands
+        swaps = [(a, b) for a, b in ((in1, out1), (in2, out2)) if a != b]
+        touched = [arm for pair in swaps for arm in pair]
+        if len(set(touched)) != len(touched):
+            raise ValueError(
+                f"beamsplitter routing {(in1, in2)} -> {(out1, out2)} is not a disjoint relabeling"
+            )
+        for a, b in swaps:
+            rows[arm_rows[a] + arm_rows[b]] = rows[arm_rows[b] + arm_rows[a]]
+        c, s = np.cos(spec.parameters[0]), np.sin(spec.parameters[0])
+        mix = np.array([[c, 1j * s], [1j * s, c]], dtype=np.complex128)
+        block = arm_rows[out1] + arm_rows[out2]
+        rows[block] = np.kron(mix, np.eye(basis.pol_dim)) @ rows[block]
+        return
+    block = arm_rows[spec.operands[0]]
+    if spec.kind == "waveplate":
+        if not basis.polarization_enabled:
+            raise ValueError("waveplate requires a polarization-enabled basis")
+        c, s = np.cos(spec.parameters[0]), np.sin(spec.parameters[0])
+        rows[block] = np.array([[c, -s], [s, c]], dtype=np.complex128) @ rows[block]
+    else:
+        phase = spec.parameters[0] if spec.kind == "phaseshifter" else np.pi / 2.0
+        rows[block] *= np.exp(1j * phase)
+
+
+def element_operator(spec: ElementSpec, basis: BasisDescriptor) -> Operator:
+    """Materialize an :class:`ElementSpec` as an operator on ``basis``."""
+    matrix = np.eye(basis.dimension, dtype=np.complex128)
+    apply_element(spec, basis, matrix)
+    return Operator(basis, matrix)
 
 
 def beamsplitter(basis: BasisDescriptor, pair: tuple[str, str], angle: float) -> Operator:
@@ -68,10 +109,7 @@ def beamsplitter(basis: BasisDescriptor, pair: tuple[str, str], angle: float) ->
     symmetrically for ``pair[1]``; ``angle = 0`` is the identity and
     ``angle = pi/2`` a swap with phase i on both ports.
     """
-    a, b = pair
-    if a == b:
-        raise ValueError(f"beamsplitter arms identical: {a!r}")
-    return embed(_mixing_matrix(angle), basis, arms=(a, b))
+    return routed_beamsplitter(basis, pair, pair, angle)
 
 
 def routed_beamsplitter(
@@ -84,43 +122,19 @@ def routed_beamsplitter(
 
     ``inputs[0]`` maps to ``cos(angle)*outputs[0] + i sin(angle)*outputs[1]``
     and ``inputs[1]`` to ``i sin(angle)*outputs[0] + cos(angle)*outputs[1]``.
-    The matrix is the in-place mixer on ``outputs`` with its columns
-    relabelled: column ``j`` is the mixer's column ``columns[j]``, where each
-    input arm's indices swap with its output arm's.  Freed labels thus swap
-    back onto the vacated ones, which keeps the operator unitary; those
-    return branches carry no amplitude in feed-forward scenarios.  When inputs
-    equal outputs this reduces to :func:`beamsplitter`.
+    The action is a row swap, then a mix: each input arm's rows swap with
+    its output arm's rows, then the in-place mixer acts on ``outputs``.
+    Freed labels thus swap back onto the vacated ones, which keeps the
+    operator unitary; those return branches carry no amplitude in
+    feed-forward scenarios.  When inputs equal outputs this is
+    :func:`beamsplitter`.
     """
-    in1, in2 = inputs
-    out1, out2 = outputs
-    if in1 == in2:
-        raise ValueError(f"beamsplitter input arms identical: {in1!r}")
-    if out1 == out2:
-        raise ValueError(f"beamsplitter output arms identical: {out1!r}")
-    for arm in (in1, in2, out1, out2):
-        if arm not in basis.path_modes:
-            raise UnknownLabelError(f"unknown arm {arm!r}")
-    swaps = [(a, b) for a, b in ((in1, out1), (in2, out2)) if a != b]
-    touched = [arm for pair in swaps for arm in pair]
-    if len(set(touched)) != len(touched):
-        raise ValueError(
-            f"beamsplitter routing {inputs} -> {outputs} is not a disjoint relabeling"
-        )
-    columns = np.arange(basis.dimension)
-    for a, b in swaps:
-        ia, ib = list(basis.arm_indices(a)), list(basis.arm_indices(b))
-        columns[ia], columns[ib] = ib, ia
-    mixer = beamsplitter(basis, (out1, out2), angle)
-    return Operator(basis, mixer.matrix[:, columns])
+    return element_operator(ElementSpec("beamsplitter", (*inputs, *outputs), (angle,)), basis)
 
 
 def waveplate(basis: BasisDescriptor, arm: str, angle: float) -> Operator:
     """Polarization rotation on a single arm; requires polarization."""
-    if not basis.polarization_enabled:
-        raise ValueError("waveplate requires a polarization-enabled basis")
-    c, s = np.cos(angle), np.sin(angle)
-    rot = np.array([[c, -s], [s, c]], dtype=np.complex128)
-    return embed(rot, basis, arms=(arm,), on_polarization=True)
+    return element_operator(ElementSpec("waveplate", (arm,), (angle,)), basis)
 
 
 def polarizer_projector(basis: BasisDescriptor, axis: str) -> Operator:
@@ -141,7 +155,7 @@ def polarizer_projector(basis: BasisDescriptor, axis: str) -> Operator:
         "antidiag": np.array([r, -r]),
     }
     ket = kets[axis].astype(np.complex128)
-    return embed(np.outer(ket, ket.conj()), basis, on_polarization=True)
+    return Operator(basis, np.kron(np.eye(len(basis.path_modes)), np.outer(ket, ket.conj())))
 
 
 def arm_projector(basis: BasisDescriptor, arm: str) -> Operator:
@@ -154,30 +168,9 @@ def arm_projector(basis: BasisDescriptor, arm: str) -> Operator:
 
 def phaseshifter(basis: BasisDescriptor, arm: str, phase: float) -> Operator:
     """Multiply the amplitudes of one arm by ``exp(i*phase)``."""
-    local = np.array([[np.exp(1j * phase)]], dtype=np.complex128)
-    return embed(local, basis, arms=(arm,))
+    return element_operator(ElementSpec("phaseshifter", (arm,), (phase,)), basis)
 
 
 def mirror(basis: BasisDescriptor, arm: str) -> Operator:
     """Reflection off a mirror: phase i on the arm (i-on-reflection)."""
-    return phaseshifter(basis, arm, np.pi / 2.0)
-
-
-def element_operator(spec: ElementSpec, basis: BasisDescriptor) -> Operator:
-    """Materialize an :class:`ElementSpec` as an operator on ``basis``."""
-    if spec.kind == "beamsplitter":
-        in1, in2, out1, out2 = spec.operands
-        (angle,) = spec.parameters
-        return routed_beamsplitter(basis, (in1, in2), (out1, out2), angle)
-    if spec.kind == "waveplate":
-        (arm,) = spec.operands
-        (angle,) = spec.parameters
-        return waveplate(basis, arm, angle)
-    if spec.kind == "phaseshifter":
-        (arm,) = spec.operands
-        (phase,) = spec.parameters
-        return phaseshifter(basis, arm, phase)
-    if spec.kind == "mirror":
-        (arm,) = spec.operands
-        return mirror(basis, arm)
-    raise ValueError(f"unknown element kind {spec.kind!r}")
+    return element_operator(ElementSpec("mirror", (arm,)), basis)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -143,7 +143,9 @@ class StateVector:
         return cls(basis, amps)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        """Euclidean norm; ``inf`` when finite amplitudes are too large to square."""
+        with np.errstate(over="ignore"):
+            return float(np.linalg.norm(self.amplitudes))
 
     @property
     def is_normalized(self) -> bool:
@@ -246,50 +248,3 @@ def adjoint(op: Operator) -> Operator:
     """Conjugate transpose.  ``adjoint(adjoint(op))`` equals ``op`` exactly."""
     return Operator(op.basis, op.matrix.conj().T)
 
-
-def embed(
-    local: np.ndarray | Sequence[Sequence[complex]],
-    basis: BasisDescriptor,
-    arms: Sequence[str] | None = None,
-    on_polarization: bool = False,
-) -> Operator:
-    """Lift a small matrix to the full composite space.
-
-    With ``on_polarization=False`` the local ``k x k`` matrix acts on the span
-    of the ``k`` listed arms (in the given order), tensored with identity on
-    polarization.  Arms not listed are left as identity, so the result is
-    ``local`` on the listed arms plus identity everywhere else: a ``[[1]]``
-    block on one arm is the identity operator, not a projector.  For the
-    projector onto one arm use ``optics.arm_projector``.
-
-    With ``on_polarization=True`` the local ``2 x 2`` matrix
-    acts on the (H, V) factor of each listed arm (all arms when ``arms`` is
-    None) and leaves every other arm untouched.
-    """
-    local = np.asarray(local, dtype=np.complex128)
-    if local.ndim != 2 or local.shape[0] != local.shape[1]:
-        raise DimensionError(f"local matrix must be square, got shape {local.shape}")
-    full = np.eye(basis.dimension, dtype=np.complex128)
-    if on_polarization:
-        if not basis.polarization_enabled:
-            raise ValueError("polarization is disabled for this basis")
-        if local.shape != (2, 2):
-            raise DimensionError("polarization action must be a 2x2 matrix")
-        targets = basis.path_modes if arms is None else tuple(arms)
-        for arm in targets:
-            block = list(basis.arm_indices(arm))
-            full[np.ix_(block, block)] = local
-    else:
-        if arms is None:
-            raise ValueError("embed on path modes requires target arms")
-        arms = tuple(arms)
-        if len(set(arms)) != len(arms):
-            raise ValueError(f"repeated arm in embed target {arms}")
-        if local.shape[0] != len(arms):
-            raise DimensionError(
-                f"local matrix is {local.shape[0]}x{local.shape[0]} but {len(arms)} arms given"
-            )
-        for pol_offset in range(basis.pol_dim):
-            block = [basis.arm_indices(a)[pol_offset] for a in arms]
-            full[np.ix_(block, block)] = local
-    return Operator(basis, full)

@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .evolution import DETECTOR, SOURCE, Scenario, Slot, Stage
-from .optics import ElementSpec, element_operator
+from .optics import ElementSpec, apply_element
 from .qstate import ATOL, BasisDescriptor, Operator, StateVector
 
 SENTINELS = (SOURCE, DETECTOR)
@@ -123,7 +123,9 @@ def parse_angle(token: str) -> float:
             raise ValueError
     except (ValueError, ArithmeticError):
         raise ValueError(f"malformed angle {token!r}") from None
-    return value
+    # ``+ 0.0`` turns -0.0 into 0.0, which format_angle also writes as "0",
+    # so texts that differ only in the sign of a zero angle build one stage.
+    return value + 0.0
 
 
 _NICE_REALS: dict[float, str] = {
@@ -139,15 +141,10 @@ _NICE_REALS: dict[float, str] = {
     -0.5 / _SQRT2: "-1/2/sqrt2",
 }
 
+# The same spellings with the leading 1 read as i.  A quarter stays
+# ``0.25i``, as it has always been serialized.
 _NICE_IMAGS: dict[float, str] = {
-    1.0: "i",
-    -1.0: "-i",
-    0.5: "i/2",
-    -0.5: "-i/2",
-    1.0 / _SQRT2: "i/sqrt2",
-    -1.0 / _SQRT2: "-i/sqrt2",
-    0.5 / _SQRT2: "i/2/sqrt2",
-    -0.5 / _SQRT2: "-i/2/sqrt2",
+    value: text.replace("1", "i", 1) for value, text in _NICE_REALS.items() if abs(value) != 0.25
 }
 
 
@@ -230,7 +227,7 @@ class _Parser:
         self.basis: BasisDescriptor | None = None
         self.preselect: np.ndarray | None = None
         self.postselect: np.ndarray | None = None
-        self.stages: list[tuple[str, list[ElementSpec], list[Operator]]] = []
+        self.stages: list[tuple[str, list[ElementSpec], np.ndarray]] = []
         self.slots: list[Slot] = []
         self.adjacency: set[tuple[str, str]] = set()
 
@@ -268,8 +265,8 @@ class _Parser:
             self.fail("missing postselect directive", tail)
         basis = self.need_basis(tail)
         stages = tuple(
-            Stage(label, _stage_unitary(basis, operators), tuple(elements))
-            for label, elements, operators in self.stages
+            Stage(label, Operator(basis, matrix), tuple(elements))
+            for label, elements, matrix in self.stages
         )
         scenario = Scenario(
             basis=basis,
@@ -326,24 +323,20 @@ class _Parser:
 
     def _directive_stage(self, row: list[_Token]) -> None:
         (label,) = self.args(row, 1)
-        self.need_basis(row[0])
+        basis = self.need_basis(row[0])
         if any(existing == label.text for existing, _, _ in self.stages):
             self.fail(f"duplicate stage label {label.text!r}", label)
-        self.stages.append((label.text, [], []))
+        self.stages.append((label.text, [], np.eye(basis.dimension, dtype=np.complex128)))
 
-    def _append_element(self, head: _Token, spec_builder) -> None:
-        self.need_basis(head)
+    def _append_element(self, head: _Token, operands: tuple[str, ...], *parameters) -> None:
         if not self.stages:
             self.fail(f"{head.text} must appear inside a stage", head)
         try:
-            spec = spec_builder()
-            operator = element_operator(spec, self.basis)
-        except ScenarioParseError:
-            raise
+            spec = ElementSpec(head.text, operands, parameters)
+            apply_element(spec, self.basis, self.stages[-1][2])
         except ValueError as exc:
             self.fail(str(exc), head)
         self.stages[-1][1].append(spec)
-        self.stages[-1][2].append(operator)
 
     def _arm_token(self, tok: _Token) -> str:
         if self.modes is None or tok.text not in self.modes:
@@ -373,27 +366,18 @@ class _Parser:
             in2 = out2
         else:
             in1, in2, out1, out2 = arms
-        self._append_element(
-            head,
-            lambda: ElementSpec("beamsplitter", (in1, in2, out1, out2), (angle,)),
-        )
+        self._append_element(head, (in1, in2, out1, out2), angle)
 
-    def _directive_waveplate(self, row: list[_Token]) -> None:
+    def _arm_angle_directive(self, row: list[_Token]) -> None:
         arm_tok, angle_tok = self.args(row, 2)
         arm = self._arm_token(arm_tok)
-        angle = self._angle_token(angle_tok)
-        self._append_element(row[0], lambda: ElementSpec("waveplate", (arm,), (angle,)))
+        self._append_element(row[0], (arm,), self._angle_token(angle_tok))
 
-    def _directive_phaseshifter(self, row: list[_Token]) -> None:
-        arm_tok, angle_tok = self.args(row, 2)
-        arm = self._arm_token(arm_tok)
-        angle = self._angle_token(angle_tok)
-        self._append_element(row[0], lambda: ElementSpec("phaseshifter", (arm,), (angle,)))
+    _directive_waveplate = _directive_phaseshifter = _arm_angle_directive
 
     def _directive_mirror(self, row: list[_Token]) -> None:
         (arm_tok,) = self.args(row, 1)
-        arm = self._arm_token(arm_tok)
-        self._append_element(row[0], lambda: ElementSpec("mirror", (arm,)))
+        self._append_element(row[0], (self._arm_token(arm_tok),))
 
     def _directive_slot(self, row: list[_Token]) -> None:
         (name,) = self.args(row, 1)
@@ -412,14 +396,6 @@ class _Parser:
         if ends[0] == ends[1]:
             self.fail(f"adjacency edge endpoints identical: {ends[0]!r}", a_tok)
         self.adjacency.add(tuple(sorted(ends)))
-
-
-def _stage_unitary(basis: BasisDescriptor, operators: list[Operator]) -> Operator:
-    """Product of the element operators in order; :func:`validate` checks it is unitary."""
-    matrix = np.eye(basis.dimension, dtype=np.complex128)
-    for op in operators:
-        matrix = op.matrix @ matrix
-    return Operator(basis, matrix)
 
 
 def parse_scenario(text: str, name: str = "") -> Scenario:

@@ -2,7 +2,7 @@
 
 The stage matrices here are written out column by column from the reference
 interferometer's port assignments, without going through the package's
-embed/routing machinery.  One pointer oracle integrates Gaussian
+element machinery (``optics.apply_element``).  One pointer oracle integrates Gaussian
 wavepackets on a dense grid instead of using closed-form overlaps; the
 other couples pointers longhand and sums the closed-form overlaps over
 every branch, with no branch skipped.

@@ -3,6 +3,7 @@ import pytest
 
 from weaktrace.optics import (
     ElementSpec,
+    apply_element,
     arm_projector,
     beamsplitter,
     element_operator,
@@ -12,7 +13,7 @@ from weaktrace.optics import (
     routed_beamsplitter,
     waveplate,
 )
-from weaktrace.qstate import ATOL, BasisDescriptor, StateVector, apply
+from weaktrace.qstate import ATOL, BasisDescriptor, StateVector, UnknownLabelError, apply
 
 from oracles import fig1_stage_matrices, fig2_stage_matrices
 
@@ -226,3 +227,51 @@ class TestElementSpec:
     def test_identical_beamsplitter_operands_rejected(self):
         with pytest.raises(ValueError):
             ElementSpec("beamsplitter", ("A", "A", "A", "A"), (np.pi / 4,))
+
+
+_ROW_SPECS = {
+    "bs-2-arm": ElementSpec("beamsplitter", ("B", "C", "B", "C"), (0.3,)),
+    "bs-3-arm": ElementSpec("beamsplitter", ("S", "A", "D", "A"), (np.pi / 4,)),
+    "bs-4-arm": ElementSpec("beamsplitter", ("C", "B", "E", "F"), (-1.1,)),
+    "waveplate": ElementSpec("waveplate", ("B",), (0.7,)),
+    "phaseshifter": ElementSpec("phaseshifter", ("A",), (1.3,)),
+    "mirror": ElementSpec("mirror", ("D",)),
+}
+_ROW_CASES = [
+    pytest.param(basis, spec, id=f"{name}-pol-{'on' if basis.polarization_enabled else 'off'}")
+    for basis in (BASIS, POL_BASIS)
+    for name, spec in _ROW_SPECS.items()
+    if basis.polarization_enabled or spec.kind != "waveplate"
+]
+
+
+def _random_block(basis):
+    rng = np.random.default_rng(5)
+    shape = (basis.dimension, 3)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestApplyElement:
+    @pytest.mark.parametrize("basis, spec", _ROW_CASES)
+    def test_rows_match_operator_product(self, basis, spec):
+        block = _random_block(basis)
+        expected = element_operator(spec, basis).matrix @ block
+        apply_element(spec, basis, block)
+        np.testing.assert_allclose(block, expected, rtol=0, atol=ATOL)
+
+    @pytest.mark.parametrize(
+        "spec, error",
+        [
+            (ElementSpec("phaseshifter", ("Z",), (0.1,)), UnknownLabelError),
+            (ElementSpec("beamsplitter", ("A", "B", "C", "Z"), (0.1,)), UnknownLabelError),
+            (ElementSpec("beamsplitter", ("A", "B", "B", "A"), (0.1,)), ValueError),
+            (ElementSpec("waveplate", ("B",), (0.1,)), ValueError),
+        ],
+        ids=["unknown-arm", "unknown-output", "overlapping-routing", "waveplate-no-pol"],
+    )
+    def test_rejected_spec_leaves_rows_untouched(self, spec, error):
+        block = _random_block(BASIS)
+        before = block.tobytes()
+        with pytest.raises(error):
+            apply_element(spec, BASIS, block)
+        assert block.tobytes() == before

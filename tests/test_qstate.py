@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weaktrace.optics import beamsplitter, waveplate
 from weaktrace.qstate import (
     ATOL,
     BasisDescriptor,
@@ -12,7 +13,6 @@ from weaktrace.qstate import (
     UnknownLabelError,
     adjoint,
     apply,
-    embed,
     identity,
     inner,
 )
@@ -124,8 +124,7 @@ class TestApplyAdjoint:
         np.testing.assert_array_equal(adjoint(identity(BASIS)).matrix, identity(BASIS).matrix)
 
     def test_adjoint_conjugate_transpose(self):
-        mix = np.array([[1, 1j], [1j, 1]]) / SQ2
-        op = embed(mix, BASIS, arms=("A", "B"))
+        op = beamsplitter(BASIS, ("A", "B"), np.pi / 4)
         np.testing.assert_array_equal(adjoint(op).matrix, op.matrix.conj().T)
 
     def test_adjoint_involutive_exactly(self):
@@ -162,43 +161,27 @@ class TestOperatorFlags:
 
 
 class TestEmbed:
-    def test_identity_block_is_full_identity(self):
-        op = embed(np.eye(2), BASIS, arms=("B", "C"))
-        np.testing.assert_array_equal(op.matrix, np.eye(4))
-        assert op.unitary and op.projector
+    """Local element actions lifted onto the full composite basis."""
 
     def test_polarization_rotation_trivial_off_target(self):
-        rot = np.array([[0, -1], [1, 0]], dtype=complex)
-        op = embed(rot, POL_BASIS, arms=("B",), on_polarization=True)
+        op = waveplate(POL_BASIS, "B", np.pi / 2)
         psi = StateVector.basis_state(POL_BASIS, "C", "H")
         np.testing.assert_array_equal(apply(op, psi).amplitudes, psi.amplitudes)
         flipped = apply(op, StateVector.basis_state(POL_BASIS, "B", "H"))
         assert flipped.amplitude("B", "V") == 1.0
 
     def test_disjoint_support_commutes(self):
-        mix = np.array([[1, 1j], [1j, 1]]) / SQ2
-        bs = embed(mix, BASIS, arms=("B", "C"))
+        bs = beamsplitter(BASIS, ("B", "C"), np.pi / 4)
         proj_a = Operator(BASIS, np.diag([1.0, 0.0, 0.0, 0.0]))
         np.testing.assert_allclose((bs @ proj_a).matrix, (proj_a @ bs).matrix, atol=ATOL)
 
     def test_unknown_label(self):
         with pytest.raises(UnknownLabelError):
-            embed(np.eye(2), BASIS, arms=("A", "Z"))
-
-    def test_non_square_local(self):
-        with pytest.raises(DimensionError):
-            embed(np.ones((2, 3)), BASIS, arms=("A", "B"))
-
-    def test_preserves_unitarity_and_projector_flags(self):
-        rng = np.random.default_rng(3)
-        u = embed(random_unitary(rng, 2), BASIS, arms=("A", "D"))
-        assert u.unitary and not u.projector
-        p = embed(np.array([[0.5, 0.5], [0.5, 0.5]]), BASIS, arms=("A", "D"))
-        assert p.projector and not p.unitary
+            beamsplitter(BASIS, ("A", "Z"), np.pi / 4)
 
     def test_pol_embed_requires_polarization(self):
         with pytest.raises(ValueError):
-            embed(np.eye(2), BASIS, on_polarization=True)
+            waveplate(BASIS, "A", np.pi / 4)
 
     def test_projectors_resolve_identity(self):
         total = np.zeros((6, 6), dtype=complex)

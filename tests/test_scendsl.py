@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weaktrace import qstate, scendsl
+from weaktrace import optics, qstate, scendsl
 from weaktrace.evolution import Slot, Stage
 from weaktrace.optics import element_operator
 from weaktrace.qstate import Operator, StateVector
@@ -22,18 +22,23 @@ from weaktrace.scendsl import (
 )
 
 
-def test_each_element_operator_built_once(monkeypatch):
-    built = []
+def test_each_element_applied_once(monkeypatch):
+    applied = []
+    original = scendsl.apply_element
 
-    def counting(spec, basis):
-        built.append(spec)
-        return element_operator(spec, basis)
+    def counting(spec, basis, rows):
+        applied.append(spec)
+        original(spec, basis, rows)
 
-    monkeypatch.setattr(scendsl, "element_operator", counting)
+    def forbidden(spec, basis):
+        raise AssertionError(f"element_operator({spec}) called during a parse")
+
+    monkeypatch.setattr(scendsl, "apply_element", counting)
+    monkeypatch.setattr(optics, "element_operator", forbidden)
     scenario = parse_scenario(FIG2_TEXT)
     elements = [spec for stage in scenario.stages for spec in stage.elements]
     assert len(elements) == 5
-    assert built == elements
+    assert applied == elements
 
 
 def test_stage_unitary_is_product_of_element_operators(fig2):
@@ -75,13 +80,17 @@ def _doubling_stage(scenario):
     [
         ("normalization", lambda s: {"preselect": _scaled(s.preselect, 2.0)}),
         ("normalization", lambda s: {"postselect": _scaled(s.postselect, 0.5)}),
+        ("normalization", lambda s: {"preselect": _scaled(s.preselect, 1e200)}),
         ("unitarity", lambda s: {"stages": _doubling_stage(s)}),
         ("adjacency", lambda s: {"adjacency": s.adjacency + (("A", "Z"),)}),
         ("adjacency", lambda s: {"adjacency": s.adjacency + (("B", "B"),)}),
         ("slot", lambda s: {"coupling_slots": s.coupling_slots + (Slot("late", 4),)}),
         ("slot", lambda s: {"coupling_slots": s.coupling_slots + (Slot("A", 0),)}),
     ],
-    ids=["preselect", "postselect", "stage", "unknown-arm", "self-edge", "range", "duplicate"],
+    ids=[
+        "preselect", "postselect", "overflow", "stage",
+        "unknown-arm", "self-edge", "range", "duplicate",
+    ],
 )
 def test_validate_reports_broken_invariant(fig1, code, change):
     broken = replace(fig1, **change(fig1))
