@@ -1,7 +1,8 @@
 """Scenario staging and two-sided state evolution.
 
-A :class:`Scenario` is an ordered list of unitary stages between a
-preselected state (boundary 0) and a postselected state (final boundary).
+A :class:`Scenario` is an ordered list of stages, each a list of optical
+elements, between a preselected state (boundary 0) and a postselected
+state (final boundary); it builds the stage matrices once, at construction.
 Boundary ``b`` denotes the instant after stage ``b``; the forward state is
 the preselection pushed up to a boundary, the backward state is the
 postselection pulled down to it through adjoint stages.  Both are computed
@@ -13,21 +14,13 @@ amplitude boundary-independent by unitarity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .optics import ElementSpec
-from .qstate import (
-    BasisDescriptor,
-    DimensionError,
-    Operator,
-    StateVector,
-    apply,
-    identity,
-    inner,
-)
+from .optics import ElementSpec, apply_element
+from .qstate import BasisDescriptor, DimensionError, Operator, StateVector, apply, inner
 
 #: Sentinel node names usable in adjacency declarations.
 SOURCE = "SOURCE"
@@ -40,10 +33,9 @@ class BoundaryError(IndexError):
 
 @dataclass(frozen=True)
 class Stage:
-    """One unitary step, with the element list it was built from."""
+    """One step: the optical elements it applies, in order.  It holds no matrix."""
 
     label: str
-    unitary: Operator
     elements: tuple[ElementSpec, ...] = ()
 
     def __post_init__(self) -> None:
@@ -65,10 +57,12 @@ class Scenario:
     ``adjacency`` lists undirected arm-graph edges; endpoints are arm labels
     or the SOURCE/DETECTOR sentinels.  ``coupling_slots`` name boundaries;
     slots named after an arm define that arm's canonical coupling point.
-    Structural consistency (matching bases) is enforced here; softer
-    invariants (normalization, unitarity, adjacency closure) are reported
-    by ``scendsl.validate`` so that broken scenarios can be diagnosed
-    instead of being unrepresentable.
+    ``stage_matrices``, the read-only ``(n_stages, d, d)`` stack of each
+    stage's elements applied to the identity, is built once here, so an
+    element that does not fit the basis raises here and every stage is
+    unitary by construction.  Normalization, adjacency and slots are
+    reported by ``scendsl.validate`` so that broken scenarios can be
+    diagnosed instead of being unrepresentable.
 
     ``boundary_states`` holds the forward and backward states at every
     boundary as two read-only arrays, built on first use and kept here.
@@ -81,6 +75,7 @@ class Scenario:
     adjacency: tuple[tuple[str, str], ...] = ()
     coupling_slots: tuple[Slot, ...] = ()
     name: str = ""
+    stage_matrices: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stages", tuple(self.stages))
@@ -88,9 +83,13 @@ class Scenario:
         object.__setattr__(self, "coupling_slots", tuple(self.coupling_slots))
         if self.preselect.basis != self.basis or self.postselect.basis != self.basis:
             raise DimensionError("preselect/postselect basis differs from scenario basis")
-        for stage in self.stages:
-            if stage.unitary.basis != self.basis:
-                raise DimensionError(f"stage {stage.label!r} basis differs from scenario basis")
+        identity = np.eye(self.basis.dimension, dtype=np.complex128)
+        matrices = np.tile(identity, (len(self.stages), 1, 1))
+        for matrix, stage in zip(matrices, self.stages):
+            for spec in stage.elements:
+                apply_element(spec, self.basis, matrix)
+        matrices.setflags(write=False)
+        object.__setattr__(self, "stage_matrices", matrices)
 
     @property
     def n_boundaries(self) -> int:
@@ -100,10 +99,10 @@ class Scenario:
     def boundary_states(self) -> tuple[np.ndarray, np.ndarray]:
         """``(fwd, bwd)``, each ``(n_boundaries, d)``, by ``U @ row`` and ``U† @ row`` sweeps."""
         fwd, bwd = [self.preselect.amplitudes], [self.postselect.amplitudes]
-        for stage in self.stages:
-            fwd.append(stage.unitary.matrix @ fwd[-1])
-        for stage in reversed(self.stages):
-            bwd.insert(0, np.ascontiguousarray(stage.unitary.matrix.conj().T) @ bwd[0])
+        for matrix in self.stage_matrices:
+            fwd.append(matrix @ fwd[-1])
+        for matrix in self.stage_matrices[::-1]:
+            bwd.insert(0, np.ascontiguousarray(matrix.conj().T) @ bwd[0])
         fwd, bwd = np.array(fwd), np.array(bwd)
         fwd.setflags(write=False)
         bwd.setflags(write=False)
@@ -132,14 +131,6 @@ class Scenario:
             return tuple(named)
         final = len(self.stages)
         return tuple((arm, final) for arm in self.basis.path_modes)
-
-
-def total_unitary(scenario: Scenario) -> Operator:
-    """Product of all stage unitaries (identity for an empty scenario)."""
-    op = identity(scenario.basis)
-    for stage in scenario.stages:
-        op = stage.unitary @ op
-    return op
 
 
 def forward_state(scenario: Scenario, boundary: int) -> StateVector:

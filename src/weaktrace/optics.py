@@ -13,13 +13,16 @@ Conventions, fixed globally:
 
 :func:`apply_element` is the one place an element's matrix is defined: it
 left-multiplies the rows of a ``d x n`` array in place, touching only the
-rows of the arms the element names.  A parsed stage is the identity with
-each of its elements applied in turn; :func:`element_operator` and the
-per-kind constructors apply one element to the identity.
+rows of the arms the element names.  Each matrix in
+``evolution.Scenario.stage_matrices`` is the identity with its stage's
+elements applied in turn; :func:`element_operator` and the per-kind
+constructors apply one element to the identity.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +41,7 @@ class ElementSpec:
 
     ``operands`` holds arm labels: the routed 4-tuple
     ``(in1, in2, out1, out2)`` for a beamsplitter, a single arm otherwise.
-    ``parameters`` holds angles in radians (none for a mirror).
+    ``parameters`` holds one finite real angle in radians (none for a mirror).
     """
 
     kind: str
@@ -60,6 +63,14 @@ class ElementSpec:
                 raise ValueError(f"beamsplitter operands identical: {self.operands}")
         elif len(self.operands) != 1:
             raise ValueError(f"{self.kind} takes a single arm, got {self.operands}")
+        n_angles = 0 if self.kind == "mirror" else 1
+        finite = all(isinstance(p, numbers.Real) and math.isfinite(p) for p in self.parameters)
+        if len(self.parameters) != n_angles or not finite:
+            raise ValueError(
+                f"{self.kind} takes {n_angles} finite real angle(s), got {self.parameters}"
+            )
+        # Plain floats, so that format_angle writes a numpy scalar as a literal the parser reads.
+        object.__setattr__(self, "parameters", tuple(map(float, self.parameters)))
 
 
 def apply_element(spec: ElementSpec, basis: BasisDescriptor, rows: np.ndarray) -> None:

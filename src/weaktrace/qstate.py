@@ -22,6 +22,10 @@ import numpy as np
 #: this bound.
 ATOL = 1e-12
 
+#: Polarization labels in basis order; the grammar, wave plates and
+#: polarizers all read the two-level factor as (H, V).
+POLARIZATION_AXES = ("H", "V")
+
 
 class DimensionError(ValueError):
     """Raised when states/operators live on incompatible bases."""
@@ -42,11 +46,9 @@ class BasisDescriptor:
 
     path_modes: tuple[str, ...]
     polarization_enabled: bool = False
-    polarization_axes: tuple[str, str] = ("H", "V")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "path_modes", tuple(self.path_modes))
-        object.__setattr__(self, "polarization_axes", tuple(self.polarization_axes))
         if not self.path_modes:
             raise ValueError("basis needs at least one path mode")
         for label in self.path_modes:
@@ -54,8 +56,6 @@ class BasisDescriptor:
                 raise ValueError("empty arm label")
         if len(set(self.path_modes)) != len(self.path_modes):
             raise ValueError(f"duplicate arm labels in {self.path_modes}")
-        if len(self.polarization_axes) != 2 or len(set(self.polarization_axes)) != 2:
-            raise ValueError("polarization_axes must be two distinct labels")
 
     @property
     def pol_dim(self) -> int:
@@ -76,9 +76,9 @@ class BasisDescriptor:
             return arm_i
         if pol is None:
             raise ValueError(f"polarization label required for arm {arm!r}")
-        if pol not in self.polarization_axes:
+        if pol not in POLARIZATION_AXES:
             raise UnknownLabelError(f"unknown polarization {pol!r}")
-        return arm_i * 2 + self.polarization_axes.index(pol)
+        return arm_i * 2 + POLARIZATION_AXES.index(pol)
 
     def arm_indices(self, arm: str) -> tuple[int, ...]:
         """All flat indices belonging to one arm (1 or 2 entries)."""
@@ -92,7 +92,7 @@ class BasisDescriptor:
         """Yield ``(arm, pol)`` pairs in basis order (pol is None when disabled)."""
         for arm in self.path_modes:
             if self.polarization_enabled:
-                for pol in self.polarization_axes:
+                for pol in POLARIZATION_AXES:
                     yield arm, pol
             else:
                 yield arm, None
@@ -175,8 +175,7 @@ class Operator:
     Construction only converts, checks shape and finiteness, and freezes
     the matrix.  ``unitary`` and ``projector`` are facts about that matrix,
     computed (within ``ATOL``) the first time they are read and cached, so
-    the edges that must enforce them, such as :func:`scendsl.validate` for
-    stage unitaries, pay for one check per operator.
+    a caller that must enforce them pays for one check per operator.
     """
 
     basis: BasisDescriptor

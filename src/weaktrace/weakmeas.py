@@ -249,7 +249,7 @@ def couple_pointers(scenario: Scenario, pointers: list[PointerSpec]) -> PointerE
             shifts = np.repeat(shifts, 2, axis=0)
             shifts[1::2, k] += specs[k].strength
         if boundary < len(scenario.stages):
-            systems = systems @ scenario.stages[boundary].unitary.matrix.T
+            systems = systems @ scenario.stage_matrices[boundary].T
     systems.setflags(write=False)
     shifts.setflags(write=False)
     return PointerEnsemble(specs=specs, basis=scenario.basis, systems=systems, shifts=shifts)

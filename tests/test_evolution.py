@@ -4,14 +4,14 @@ import pytest
 from weaktrace.evolution import (
     BoundaryError,
     Scenario,
+    Stage,
     backward_state,
     forward_state,
     postselect_probability,
-    total_unitary,
     transition_amplitude,
 )
-from weaktrace.optics import arm_projector
-from weaktrace.qstate import ATOL, BasisDescriptor, StateVector, adjoint, apply, identity
+from weaktrace.optics import ElementSpec, arm_projector
+from weaktrace.qstate import ATOL, BasisDescriptor, Operator, StateVector, adjoint, apply, identity
 from weaktrace.scendsl import parse_scenario
 
 from oracles import (
@@ -164,9 +164,27 @@ class TestPostselectProbability:
 class TestScenarioStructure:
     def test_total_unitary_is_stage_product(self, fig1):
         stages = fig1_stage_matrices()
-        np.testing.assert_allclose(
-            total_unitary(fig1).matrix, stages[2] @ stages[1] @ stages[0], atol=ATOL
-        )
+        total = fig1.stage_matrices[2] @ fig1.stage_matrices[1] @ fig1.stage_matrices[0]
+        np.testing.assert_allclose(total, stages[2] @ stages[1] @ stages[0], atol=ATOL)
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2"])
+    def test_stage_matrices_are_one_read_only_stack(self, name, request):
+        scenario = request.getfixturevalue(name)
+        d = scenario.basis.dimension
+        assert scenario.stage_matrices.shape == (len(scenario.stages), d, d)
+        assert scenario.stage_matrices.dtype == np.complex128
+        with pytest.raises(ValueError):
+            scenario.stage_matrices[0, 0, 0] = 0.0
+
+    def test_element_that_does_not_fit_basis_raises_at_construction(self, fig1):
+        plate = Stage("plate", (ElementSpec("waveplate", ("B",), (np.pi / 4,)),))
+        with pytest.raises(ValueError, match="polarization"):
+            Scenario(
+                basis=fig1.basis,
+                stages=fig1.stages + (plate,),
+                preselect=fig1.preselect,
+                postselect=fig1.postselect,
+            )
 
     def test_canonical_slots(self, fig1):
         assert fig1.canonical_slots() == (("D", 1), ("A", 2), ("B", 2), ("C", 2), ("E", 3))
@@ -202,12 +220,13 @@ class TestBoundaryStates:
     @pytest.mark.parametrize("name", ["fig1", "fig2"])
     def test_rows_equal_stagewise_apply_and_adjoint(self, name, request):
         scenario = request.getfixturevalue(name)
+        stages = [Operator(scenario.basis, matrix) for matrix in scenario.stage_matrices]
         forward = [scenario.preselect]
-        for stage in scenario.stages:
-            forward.append(apply(stage.unitary, forward[-1]))
+        for stage in stages:
+            forward.append(apply(stage, forward[-1]))
         backward = [scenario.postselect]
-        for stage in reversed(scenario.stages):
-            backward.insert(0, apply(adjoint(stage.unitary), backward[0]))
+        for stage in reversed(stages):
+            backward.insert(0, apply(adjoint(stage), backward[0]))
         fwd, bwd = scenario.boundary_states
         np.testing.assert_array_equal(fwd, [state.amplitudes for state in forward])
         np.testing.assert_array_equal(bwd, [state.amplitudes for state in backward])

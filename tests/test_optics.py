@@ -93,10 +93,11 @@ class TestBeamsplitter:
     def test_builtin_stage_columns_match_oracle(self, name, oracle, request):
         """Every column, the swap-back columns of vacated labels included."""
         scenario = request.getfixturevalue(name)
-        for stage, expected in zip(scenario.stages, oracle(), strict=True):
+        stacks = zip(scenario.stages, scenario.stage_matrices, oracle(), strict=True)
+        for stage, matrix, expected in stacks:
             for j in range(scenario.basis.dimension):
                 np.testing.assert_allclose(
-                    stage.unitary.matrix[:, j],
+                    matrix[:, j],
                     expected[:, j],
                     atol=ATOL,
                     err_msg=f"{stage.label} column {j}",
@@ -227,6 +228,29 @@ class TestElementSpec:
     def test_identical_beamsplitter_operands_rejected(self):
         with pytest.raises(ValueError):
             ElementSpec("beamsplitter", ("A", "A", "A", "A"), (np.pi / 4,))
+
+    @pytest.mark.parametrize(
+        "kind, operands, parameters",
+        [
+            ("beamsplitter", ("B", "C", "B", "C"), ()),
+            ("waveplate", ("B",), ()),
+            ("phaseshifter", ("A",), ()),
+            ("phaseshifter", ("A",), (0.1, 0.2)),
+            ("mirror", ("D",), (0.1,)),
+            ("phaseshifter", ("A",), (float("nan"),)),
+            ("beamsplitter", ("B", "C", "B", "C"), (np.inf,)),
+            ("waveplate", ("B",), (-np.inf,)),
+            ("phaseshifter", ("A",), (0.1j,)),
+            ("phaseshifter", ("A",), ("pi/4",)),
+        ],
+        ids=[
+            "bs-no-angle", "waveplate-no-angle", "phaseshifter-no-angle", "two-angles",
+            "mirror-with-angle", "nan", "inf", "minus-inf", "complex", "string",
+        ],
+    )
+    def test_parameters_are_one_finite_real_angle(self, kind, operands, parameters):
+        with pytest.raises(ValueError, match="finite real angle"):
+            ElementSpec(kind, operands, parameters)
 
 
 _ROW_SPECS = {

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from weaktrace import optics, qstate, scendsl
 from weaktrace.evolution import Slot, Stage
-from weaktrace.optics import element_operator
-from weaktrace.qstate import Operator, StateVector
+from weaktrace.optics import ElementSpec, element_operator
+from weaktrace.qstate import StateVector, is_unitary_matrix
 from weaktrace.scendsl import (
     BUILTIN_TEXTS,
     FIG2_TEXT,
@@ -42,37 +42,41 @@ def test_each_element_applied_once(monkeypatch):
 
 
 def test_stage_unitary_is_product_of_element_operators(fig2):
-    for stage in fig2.stages:
+    for stage, matrix in zip(fig2.stages, fig2.stage_matrices, strict=True):
         expected = np.eye(fig2.basis.dimension, dtype=np.complex128)
         for spec in stage.elements:
             expected = element_operator(spec, fig2.basis).matrix @ expected
-        np.testing.assert_array_equal(stage.unitary.matrix, expected)
-        assert stage.unitary.unitary
+        np.testing.assert_array_equal(matrix, expected)
+        assert is_unitary_matrix(matrix)
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_TEXTS))
-def test_each_stage_checked_unitary_once(name, monkeypatch):
-    calls = []
-    original = qstate.is_unitary_matrix
+def test_parse_checks_no_unitarity_and_calls_no_validate(name, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("invariant re-checked during a parse")
 
-    def counting(mat, *args):
-        calls.append(mat.shape)
-        return original(mat, *args)
+    monkeypatch.setattr(qstate, "is_unitary_matrix", forbidden)
+    monkeypatch.setattr(scendsl, "validate", forbidden)
+    scenario = parse_scenario(BUILTIN_TEXTS[name], name=name)
+    assert scenario.name == name
+    assert len(scenario.stage_matrices) == len(scenario.stages) == 3
 
-    monkeypatch.setattr(qstate, "is_unitary_matrix", counting)
-    scenario = parse_scenario(BUILTIN_TEXTS[name])
-    assert len(calls) == len(scenario.stages) == 3
-    assert all(stage.unitary.unitary for stage in scenario.stages)
-    assert len(calls) == 3
+
+def test_parse_constructs_one_scenario(monkeypatch):
+    built = []
+    original = scendsl.Scenario.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(scendsl.Scenario, "__post_init__", counting)
+    scenario = parse_scenario(FIG2_TEXT, name="fig2")
+    assert built == [scenario]
 
 
 def _scaled(state, factor):
     return StateVector(state.basis, factor * state.amplitudes)
-
-
-def _doubling_stage(scenario):
-    double = Operator(scenario.basis, 2 * np.eye(scenario.basis.dimension))
-    return scenario.stages + (Stage("double", double),)
 
 
 @pytest.mark.parametrize(
@@ -81,14 +85,13 @@ def _doubling_stage(scenario):
         ("normalization", lambda s: {"preselect": _scaled(s.preselect, 2.0)}),
         ("normalization", lambda s: {"postselect": _scaled(s.postselect, 0.5)}),
         ("normalization", lambda s: {"preselect": _scaled(s.preselect, 1e200)}),
-        ("unitarity", lambda s: {"stages": _doubling_stage(s)}),
         ("adjacency", lambda s: {"adjacency": s.adjacency + (("A", "Z"),)}),
         ("adjacency", lambda s: {"adjacency": s.adjacency + (("B", "B"),)}),
         ("slot", lambda s: {"coupling_slots": s.coupling_slots + (Slot("late", 4),)}),
         ("slot", lambda s: {"coupling_slots": s.coupling_slots + (Slot("A", 0),)}),
     ],
     ids=[
-        "preselect", "postselect", "overflow", "stage",
+        "preselect", "postselect", "overflow",
         "unknown-arm", "self-edge", "range", "duplicate",
     ],
 )
@@ -150,6 +153,8 @@ def _fig_shaped_texts(draw):
 @settings(max_examples=150, deadline=None)
 def test_serialize_parse_round_trip_is_bit_exact(text):
     scenario = parse_scenario(text)
+    assert validate(scenario) == []
+    assert all(is_unitary_matrix(matrix) for matrix in scenario.stage_matrices)
     serialized = serialize_scenario(scenario)
     again = parse_scenario(serialized)
     assert serialize_scenario(again) == serialized
@@ -159,10 +164,24 @@ def test_serialize_parse_round_trip_is_bit_exact(text):
     for role in ("preselect", "postselect"):
         before, after = getattr(scenario, role), getattr(again, role)
         assert after.amplitudes.tobytes() == before.amplitudes.tobytes()
-    assert len(again.stages) == len(scenario.stages)
-    for old, new in zip(scenario.stages, again.stages):
-        assert (new.label, new.elements) == (old.label, old.elements)
-        assert new.unitary.matrix.tobytes() == old.unitary.matrix.tobytes()
+    assert [(s.label, s.elements) for s in again.stages] == [
+        (s.label, s.elements) for s in scenario.stages
+    ]
+    assert again.stage_matrices.tobytes() == scenario.stage_matrices.tobytes()
+
+
+@pytest.mark.parametrize("angle", [0.3, np.float64(0.3)], ids=["float", "numpy-float"])
+def test_stage_added_through_api_round_trips(fig1, angle):
+    """A stage is its element list, so serialization cannot drop its action."""
+    mix = Stage("mix", (ElementSpec("beamsplitter", ("A", "E", "A", "E"), (angle,)),))
+    scenario = replace(fig1, stages=fig1.stages + (mix,))
+    assert validate(scenario) == []
+    text = serialize_scenario(scenario)
+    assert "stage mix\nbeamsplitter A E 0.3\n" in text
+    again = parse_scenario(text)
+    assert serialize_scenario(again) == text
+    for new, old in zip(again.boundary_states, scenario.boundary_states, strict=True):
+        assert new.tobytes() == old.tobytes()
 
 
 _BODY = "modes A B\npreselect 1@A\nstage s\n"
@@ -179,6 +198,10 @@ _BODY = "modes A B\npreselect 1@A\nstage s\n"
         ("modes A B\npreselect 1/0@A\npostselect 1@B\n", 2, 11),
         (_BODY + "beamsplitter A B inf\npostselect 1@B\n", 4, 18),
         (_BODY + "phaseshifter B pi/0\npostselect 1@B\n", 4, 16),
+        ("modes A B\npreselect 1/2@A\npostselect 1@B\n", 2, 1),
+        ("modes A B\nadjacency A Q\npreselect 1@A\npostselect 1@B\n", 2, 13),
+        ("modes A B\nadjacency B B\npreselect 1@A\npostselect 1@B\n", 2, 11),
+        ("modes A B\nslot A\npreselect 1@A\nslot A\npostselect 1@B\n", 4, 6),
     ],
     ids=[
         "unknown-directive",
@@ -189,6 +212,10 @@ _BODY = "modes A B\npreselect 1@A\nstage s\n"
         "zero-denominator",
         "inf-angle",
         "zero-denominator-angle",
+        "unnormalized-preselect",
+        "unknown-adjacency-end",
+        "self-edge",
+        "duplicate-slot",
     ],
 )
 def test_parse_error_points_at_token(text, line, column):
