@@ -22,13 +22,7 @@ from .evolution import (
 from .optics import (
     ElementSpec,
     arm_projector,
-    beamsplitter,
     element_operator,
-    mirror,
-    phaseshifter,
-    polarizer_projector,
-    routed_beamsplitter,
-    waveplate,
 )
 from .qstate import (
     ATOL,
@@ -113,7 +107,6 @@ __all__ = [
     "arm_projector",
     "arm_weak_value",
     "backward_state",
-    "beamsplitter",
     "builtin_scenario",
     "continuity_check",
     "couple_pointers",
@@ -121,19 +114,14 @@ __all__ = [
     "forward_state",
     "identity",
     "inner",
-    "mirror",
     "parse_scenario",
-    "phaseshifter",
-    "polarizer_projector",
     "postselect_and_readout",
     "postselect_probability",
     "presence_map",
-    "routed_beamsplitter",
     "serialize_scenario",
     "trace_verdict",
     "transition_amplitude",
     "validate",
-    "waveplate",
     "weak_limit_sweep",
     "weak_value",
     "weak_value_table",

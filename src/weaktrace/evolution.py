@@ -14,6 +14,7 @@ amplitude boundary-independent by unitarity.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -28,7 +29,7 @@ DETECTOR = "DETECTOR"
 
 
 class BoundaryError(IndexError):
-    """Raised for boundary indices outside ``0..len(stages)``."""
+    """Raised for boundaries that are not integers in ``0..len(stages)``."""
 
 
 @dataclass(frozen=True)
@@ -109,11 +110,16 @@ class Scenario:
         return fwd, bwd
 
     def check_boundary(self, boundary: int) -> int:
-        if not 0 <= boundary <= len(self.stages):
+        """``boundary`` as a plain int; raises unless it is an integer in range."""
+        try:
+            index = operator.index(boundary)
+        except TypeError:
+            raise BoundaryError(f"boundary {boundary!r} is not an integer") from None
+        if not 0 <= index <= len(self.stages):
             raise BoundaryError(
                 f"boundary {boundary} out of range 0..{len(self.stages)}"
             )
-        return boundary
+        return index
 
     def canonical_slots(self) -> tuple[tuple[str, int], ...]:
         """Canonical ``(arm, boundary)`` coupling points for weak-value reports.
@@ -156,7 +162,6 @@ def transition_amplitude(scenario: Scenario, observable: Operator, boundary: int
     With the identity observable this is the post-selection amplitude and
     does not depend on the boundary.
     """
-    scenario.check_boundary(boundary)
     return inner(backward_state(scenario, boundary), apply(observable, forward_state(scenario, boundary)))
 
 

@@ -1,4 +1,4 @@
-"""Optical elements and how each acts on the rows of a matrix.
+"""Optical elements: what each one is, and how it acts on the rows of a matrix.
 
 Conventions, fixed globally:
 
@@ -8,15 +8,15 @@ Conventions, fixed globally:
 * Wave plates apply the real rotation ``[[cos a, -sin a], [sin a, cos a]]``
   on the (H, V) factor of a single arm, so ``a = +pi/4`` maps H to the
   diagonal state (H+V)/sqrt2 and ``a = -pi/4`` to the antidiagonal one.
-* A polarizer is not a stage element: :func:`polarizer_projector` builds the
-  projector, and only post-selected statistics are modeled.
 
-:func:`apply_element` is the one place an element's matrix is defined: it
+An element is an :class:`ElementSpec`, which checks everything that does not
+depend on a basis; :func:`check_element` checks that it fits a basis, and
+:func:`apply_element`, the one place an element's matrix is defined,
 left-multiplies the rows of a ``d x n`` array in place, touching only the
 rows of the arms the element names.  Each matrix in
 ``evolution.Scenario.stage_matrices`` is the identity with its stage's
-elements applied in turn; :func:`element_operator` and the per-kind
-constructors apply one element to the identity.
+elements applied in turn; :func:`element_operator` applies one element to
+the identity.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from .qstate import BasisDescriptor, Operator
 #: Element kinds a stage may carry.
 ELEMENT_KINDS = ("beamsplitter", "phaseshifter", "waveplate", "mirror")
 
-POLARIZER_AXES = ("H", "V", "diag", "antidiag")
-
 
 @dataclass(frozen=True)
 class ElementSpec:
@@ -42,6 +40,18 @@ class ElementSpec:
     ``operands`` holds arm labels: the routed 4-tuple
     ``(in1, in2, out1, out2)`` for a beamsplitter, a single arm otherwise.
     ``parameters`` holds one finite real angle in radians (none for a mirror).
+
+    A beamsplitter maps ``in1`` to ``cos(t)*out1 + i sin(t)*out2`` and
+    ``in2`` to ``i sin(t)*out1 + cos(t)*out2``; ``t = 0`` is the identity
+    and ``t = pi/2`` a swap with phase i on both ports.  Its action is a
+    row swap, then a mix: each input arm's rows swap with its output arm's
+    rows, then the in-place mixer acts on ``(out1, out2)``.  Freed labels
+    thus swap back onto the vacated ones, which keeps the element unitary;
+    those return branches carry no amplitude in feed-forward scenarios.
+    The swaps must be a disjoint relabeling.  Polarization passes through
+    unchanged.  A waveplate rotates its arm's polarization, a phaseshifter
+    multiplies its arm's amplitudes by ``exp(i*angle)``, and a mirror by
+    ``i`` (i-on-reflection).
     """
 
     kind: str
@@ -61,6 +71,13 @@ class ElementSpec:
             in1, in2, out1, out2 = self.operands
             if in1 == in2 or out1 == out2:
                 raise ValueError(f"beamsplitter operands identical: {self.operands}")
+            swaps = [(a, b) for a, b in ((in1, out1), (in2, out2)) if a != b]
+            touched = [arm for pair in swaps for arm in pair]
+            if len(set(touched)) != len(touched):
+                raise ValueError(
+                    f"beamsplitter routing {(in1, in2)} -> {(out1, out2)} "
+                    "is not a disjoint relabeling"
+                )
         elif len(self.operands) != 1:
             raise ValueError(f"{self.kind} takes a single arm, got {self.operands}")
         n_angles = 0 if self.kind == "mirror" else 1
@@ -73,23 +90,27 @@ class ElementSpec:
         object.__setattr__(self, "parameters", tuple(map(float, self.parameters)))
 
 
+def check_element(spec: ElementSpec, basis: BasisDescriptor) -> None:
+    """Raise unless every arm of ``spec`` is in ``basis`` and a waveplate has polarization."""
+    for arm in spec.operands:
+        basis.arm_indices(arm)
+    if spec.kind == "waveplate" and not basis.polarization_enabled:
+        raise ValueError("waveplate requires a polarization-enabled basis")
+
+
 def apply_element(spec: ElementSpec, basis: BasisDescriptor, rows: np.ndarray) -> None:
     """Left-multiply the complex ``d x n`` array ``rows`` in place by the matrix of ``spec``.
 
-    Every check on ``spec`` against ``basis`` runs before the first write,
-    so ``rows`` is unchanged when this raises.
+    :func:`check_element` runs before the first write, so ``rows`` is
+    unchanged when this raises.
     """
+    check_element(spec, basis)
     arm_rows = {arm: list(basis.arm_indices(arm)) for arm in spec.operands}
     if spec.kind == "beamsplitter":
         in1, in2, out1, out2 = spec.operands
-        swaps = [(a, b) for a, b in ((in1, out1), (in2, out2)) if a != b]
-        touched = [arm for pair in swaps for arm in pair]
-        if len(set(touched)) != len(touched):
-            raise ValueError(
-                f"beamsplitter routing {(in1, in2)} -> {(out1, out2)} is not a disjoint relabeling"
-            )
-        for a, b in swaps:
-            rows[arm_rows[a] + arm_rows[b]] = rows[arm_rows[b] + arm_rows[a]]
+        for a, b in ((in1, out1), (in2, out2)):
+            if a != b:
+                rows[arm_rows[a] + arm_rows[b]] = rows[arm_rows[b] + arm_rows[a]]
         c, s = np.cos(spec.parameters[0]), np.sin(spec.parameters[0])
         mix = np.array([[c, 1j * s], [1j * s, c]], dtype=np.complex128)
         block = arm_rows[out1] + arm_rows[out2]
@@ -97,8 +118,6 @@ def apply_element(spec: ElementSpec, basis: BasisDescriptor, rows: np.ndarray) -
         return
     block = arm_rows[spec.operands[0]]
     if spec.kind == "waveplate":
-        if not basis.polarization_enabled:
-            raise ValueError("waveplate requires a polarization-enabled basis")
         c, s = np.cos(spec.parameters[0]), np.sin(spec.parameters[0])
         rows[block] = np.array([[c, -s], [s, c]], dtype=np.complex128) @ rows[block]
     else:
@@ -113,75 +132,9 @@ def element_operator(spec: ElementSpec, basis: BasisDescriptor) -> Operator:
     return Operator(basis, matrix)
 
 
-def beamsplitter(basis: BasisDescriptor, pair: tuple[str, str], angle: float) -> Operator:
-    """In-place mixer on a pair of arms (identity on polarization).
-
-    ``pair[0]`` maps to ``cos(angle)*pair[0] + i sin(angle)*pair[1]`` and
-    symmetrically for ``pair[1]``; ``angle = 0`` is the identity and
-    ``angle = pi/2`` a swap with phase i on both ports.
-    """
-    return routed_beamsplitter(basis, pair, pair, angle)
-
-
-def routed_beamsplitter(
-    basis: BasisDescriptor,
-    inputs: tuple[str, str],
-    outputs: tuple[str, str],
-    angle: float,
-) -> Operator:
-    """Two-port beamsplitter whose output beams carry (possibly) new arm labels.
-
-    ``inputs[0]`` maps to ``cos(angle)*outputs[0] + i sin(angle)*outputs[1]``
-    and ``inputs[1]`` to ``i sin(angle)*outputs[0] + cos(angle)*outputs[1]``.
-    The action is a row swap, then a mix: each input arm's rows swap with
-    its output arm's rows, then the in-place mixer acts on ``outputs``.
-    Freed labels thus swap back onto the vacated ones, which keeps the
-    operator unitary; those return branches carry no amplitude in
-    feed-forward scenarios.  When inputs equal outputs this is
-    :func:`beamsplitter`.
-    """
-    return element_operator(ElementSpec("beamsplitter", (*inputs, *outputs), (angle,)), basis)
-
-
-def waveplate(basis: BasisDescriptor, arm: str, angle: float) -> Operator:
-    """Polarization rotation on a single arm; requires polarization."""
-    return element_operator(ElementSpec("waveplate", (arm,), (angle,)), basis)
-
-
-def polarizer_projector(basis: BasisDescriptor, axis: str) -> Operator:
-    """Projector onto one polarization axis, identity on the path factor.
-
-    ``axis`` is one of H, V, diag ((H+V)/sqrt2) or antidiag ((H-V)/sqrt2).
-    The result is a projector and is not unitary.
-    """
-    if not basis.polarization_enabled:
-        raise ValueError("polarizer requires a polarization-enabled basis")
-    if axis not in POLARIZER_AXES:
-        raise ValueError(f"unknown polarizer axis {axis!r}; expected one of {POLARIZER_AXES}")
-    r = 1.0 / np.sqrt(2.0)
-    kets = {
-        "H": np.array([1.0, 0.0]),
-        "V": np.array([0.0, 1.0]),
-        "diag": np.array([r, r]),
-        "antidiag": np.array([r, -r]),
-    }
-    ket = kets[axis].astype(np.complex128)
-    return Operator(basis, np.kron(np.eye(len(basis.path_modes)), np.outer(ket, ket.conj())))
-
-
 def arm_projector(basis: BasisDescriptor, arm: str) -> Operator:
     """Projector onto one arm, identity on polarization."""
     diag = np.zeros(basis.dimension, dtype=np.complex128)
     for i in basis.arm_indices(arm):
         diag[i] = 1.0
     return Operator(basis, np.diag(diag))
-
-
-def phaseshifter(basis: BasisDescriptor, arm: str, phase: float) -> Operator:
-    """Multiply the amplitudes of one arm by ``exp(i*phase)``."""
-    return element_operator(ElementSpec("phaseshifter", (arm,), (phase,)), basis)
-
-
-def mirror(basis: BasisDescriptor, arm: str) -> Operator:
-    """Reflection off a mirror: phase i on the arm (i-on-reflection)."""
-    return element_operator(ElementSpec("mirror", (arm,)), basis)

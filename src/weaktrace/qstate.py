@@ -16,14 +16,13 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-#: Tolerance for algebraic identities (unitarity, normalization, projector
-#: idempotence).  Amplitudes in the bundled scenarios are small rationals
-#: times powers of sqrt(2), so double precision keeps identities far below
-#: this bound.
+#: Tolerance for algebraic identities (unitarity, normalization).
+#: Amplitudes in the bundled scenarios are small rationals times powers of
+#: sqrt(2), so double precision keeps identities far below this bound.
 ATOL = 1e-12
 
-#: Polarization labels in basis order; the grammar, wave plates and
-#: polarizers all read the two-level factor as (H, V).
+#: Polarization labels in basis order; the grammar and wave plates read
+#: the two-level factor as (H, V).
 POLARIZATION_AXES = ("H", "V")
 
 
@@ -173,9 +172,9 @@ class Operator:
     """Dense complex matrix on a composite basis.
 
     Construction only converts, checks shape and finiteness, and freezes
-    the matrix.  ``unitary`` and ``projector`` are facts about that matrix,
-    computed (within ``ATOL``) the first time they are read and cached, so
-    a caller that must enforce them pays for one check per operator.
+    the matrix.  ``unitary`` is a fact about that matrix, computed (within
+    ``ATOL``) the first time it is read and cached, so a caller that must
+    enforce it pays for one check per operator.
     """
 
     basis: BasisDescriptor
@@ -196,10 +195,6 @@ class Operator:
     def unitary(self) -> bool:
         return is_unitary_matrix(self.matrix)
 
-    @cached_property
-    def projector(self) -> bool:
-        return is_projector_matrix(self.matrix)
-
     def __matmul__(self, other: "Operator") -> "Operator":
         _require_same_basis(self.basis, other.basis)
         return Operator(self.basis, self.matrix @ other.matrix)
@@ -213,10 +208,6 @@ def _close(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
 
 def is_unitary_matrix(mat: np.ndarray, atol: float = ATOL) -> bool:
     return _close(mat.conj().T @ mat, np.eye(mat.shape[0]), atol)
-
-
-def is_projector_matrix(mat: np.ndarray, atol: float = ATOL) -> bool:
-    return _close(mat @ mat, mat, atol) and _close(mat.conj().T, mat, atol)
 
 
 def _require_same_basis(a: BasisDescriptor, b: BasisDescriptor) -> None:

@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .evolution import DETECTOR, SOURCE, Scenario, Slot, Stage
-from .optics import ElementSpec, apply_element
+from .optics import ElementSpec, check_element
 from .qstate import ATOL, POLARIZATION_AXES, BasisDescriptor, StateVector
 
 SENTINELS = (SOURCE, DETECTOR)
@@ -327,8 +327,7 @@ class _Parser:
             self.fail(f"{head.text} must appear inside a stage", head)
         try:
             spec = ElementSpec(head.text, operands, parameters)
-            # On d x 0 rows every check runs and nothing is computed.
-            apply_element(spec, self.basis, np.empty((self.basis.dimension, 0), np.complex128))
+            check_element(spec, self.basis)
         except ValueError as exc:
             self.fail(str(exc), head)
         self.stages[-1][1].append(spec)

@@ -60,6 +60,10 @@ class TestForwardStateFig1:
         with pytest.raises(BoundaryError):
             forward_state(fig1, -1)
 
+    def test_non_integer_rejected(self, fig1):
+        with pytest.raises(BoundaryError, match="not an integer"):
+            forward_state(fig1, 1.0)
+
 
 class TestForwardStateFig2:
     def test_inside_inner_loop(self, fig2):

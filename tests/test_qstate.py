@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weaktrace.optics import beamsplitter, waveplate
+from weaktrace.optics import ElementSpec, element_operator
 from weaktrace.qstate import (
     ATOL,
     BasisDescriptor,
@@ -124,7 +124,8 @@ class TestApplyAdjoint:
         np.testing.assert_array_equal(adjoint(identity(BASIS)).matrix, identity(BASIS).matrix)
 
     def test_adjoint_conjugate_transpose(self):
-        op = beamsplitter(BASIS, ("A", "B"), np.pi / 4)
+        spec = ElementSpec("beamsplitter", ("A", "B", "A", "B"), (np.pi / 4,))
+        op = element_operator(spec, BASIS)
         np.testing.assert_array_equal(adjoint(op).matrix, op.matrix.conj().T)
 
     def test_adjoint_involutive_exactly(self):
@@ -153,9 +154,6 @@ class TestOperatorFlags:
     def test_unitary_flag_validated(self):
         assert not Operator(BASIS, np.diag([1.0, 2.0, 1.0, 1.0])).unitary
 
-    def test_projector_flag_validated(self):
-        assert not Operator(BASIS, np.diag([1.0, 2.0, 0.0, 0.0])).projector
-
     def test_composition_keeps_unitary_flag(self):
         assert (identity(BASIS) @ identity(BASIS)).unitary
 
@@ -164,24 +162,25 @@ class TestEmbed:
     """Local element actions lifted onto the full composite basis."""
 
     def test_polarization_rotation_trivial_off_target(self):
-        op = waveplate(POL_BASIS, "B", np.pi / 2)
+        op = element_operator(ElementSpec("waveplate", ("B",), (np.pi / 2,)), POL_BASIS)
         psi = StateVector.basis_state(POL_BASIS, "C", "H")
         np.testing.assert_array_equal(apply(op, psi).amplitudes, psi.amplitudes)
         flipped = apply(op, StateVector.basis_state(POL_BASIS, "B", "H"))
         assert flipped.amplitude("B", "V") == 1.0
 
     def test_disjoint_support_commutes(self):
-        bs = beamsplitter(BASIS, ("B", "C"), np.pi / 4)
+        spec = ElementSpec("beamsplitter", ("B", "C", "B", "C"), (np.pi / 4,))
+        bs = element_operator(spec, BASIS)
         proj_a = Operator(BASIS, np.diag([1.0, 0.0, 0.0, 0.0]))
         np.testing.assert_allclose((bs @ proj_a).matrix, (proj_a @ bs).matrix, atol=ATOL)
 
     def test_unknown_label(self):
         with pytest.raises(UnknownLabelError):
-            beamsplitter(BASIS, ("A", "Z"), np.pi / 4)
+            element_operator(ElementSpec("beamsplitter", ("A", "Z", "A", "Z"), (np.pi / 4,)), BASIS)
 
     def test_pol_embed_requires_polarization(self):
-        with pytest.raises(ValueError):
-            waveplate(BASIS, "A", np.pi / 4)
+        with pytest.raises(ValueError, match="polarization"):
+            element_operator(ElementSpec("waveplate", ("A",), (np.pi / 4,)), BASIS)
 
     def test_projectors_resolve_identity(self):
         total = np.zeros((6, 6), dtype=complex)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -23,21 +24,31 @@ from weaktrace.scendsl import (
 
 
 def test_each_element_applied_once(monkeypatch):
-    applied = []
-    original = scendsl.apply_element
+    """A parse checks each element once at its token and applies it once, in ``Scenario``."""
+    checked, applied = [], []
+    original_check, original_apply = scendsl.check_element, optics.apply_element
 
-    def counting(spec, basis, rows):
+    def counting_check(spec, basis):
+        checked.append(spec)
+        original_check(spec, basis)
+
+    def counting_apply(spec, basis, rows):
         applied.append(spec)
-        original(spec, basis, rows)
+        original_apply(spec, basis, rows)
 
     def forbidden(spec, basis):
         raise AssertionError(f"element_operator({spec}) called during a parse")
 
-    monkeypatch.setattr(scendsl, "apply_element", counting)
+    monkeypatch.setattr(scendsl, "check_element", counting_check)
+    for module in [m for name, m in sys.modules.items() if name.startswith("weaktrace")]:
+        for attr, value in list(vars(module).items()):
+            if value is original_apply:
+                monkeypatch.setattr(module, attr, counting_apply)
     monkeypatch.setattr(optics, "element_operator", forbidden)
     scenario = parse_scenario(FIG2_TEXT)
     elements = [spec for stage in scenario.stages for spec in stage.elements]
     assert len(elements) == 5
+    assert checked == elements
     assert applied == elements
 
 
@@ -202,6 +213,8 @@ _BODY = "modes A B\npreselect 1@A\nstage s\n"
         ("modes A B\nadjacency A Q\npreselect 1@A\npostselect 1@B\n", 2, 13),
         ("modes A B\nadjacency B B\npreselect 1@A\npostselect 1@B\n", 2, 11),
         ("modes A B\nslot A\npreselect 1@A\nslot A\npostselect 1@B\n", 4, 6),
+        (_BODY + "waveplate A pi/4\npostselect 1@B\n", 4, 1),
+        (_BODY + "beamsplitter A B B A pi/4\npostselect 1@B\n", 4, 1),
     ],
     ids=[
         "unknown-directive",
@@ -216,6 +229,8 @@ _BODY = "modes A B\npreselect 1@A\nstage s\n"
         "unknown-adjacency-end",
         "self-edge",
         "duplicate-slot",
+        "waveplate-without-polarization",
+        "overlapping-routing",
     ],
 )
 def test_parse_error_points_at_token(text, line, column):

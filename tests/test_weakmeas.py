@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from weaktrace.cli import execute
-from weaktrace.evolution import forward_state
+from weaktrace.evolution import BoundaryError, forward_state
 from weaktrace.optics import arm_projector
 from weaktrace.qstate import ATOL, inner
 from weaktrace.scendsl import parse_scenario
@@ -161,6 +161,21 @@ class TestCouplePointers:
     def test_invalid_boundary_rejected(self, fig1):
         with pytest.raises(IndexError):
             couple_pointers(fig1, [PointerSpec("p", "A", 9, 0.1)])
+
+    def test_non_integer_boundary_rejected(self, fig1):
+        """A 1.5 boundary matches no stage boundary, so it would never couple."""
+        with pytest.raises(BoundaryError):
+            couple_pointers(fig1, [PointerSpec("p", "A", 1.5, 0.5)])
+        with pytest.raises(BoundaryError):
+            arm_weak_value(fig1, "A", 1.0)
+
+    def test_numpy_integer_boundary_matches_int(self, fig1):
+        assert arm_weak_value(fig1, "B", np.int64(2)) == arm_weak_value(fig1, "B", 2)
+        new, old = (
+            postselect_and_readout(couple_pointers(fig1, [pointer]), fig1.postselect)
+            for pointer in (PointerSpec("p", "B", np.int64(2), 0.5), PointerSpec("p", "B", 2, 0.5))
+        )
+        assert new == old
 
     def test_nonpositive_width_rejected(self):
         with pytest.raises(ValueError):
