@@ -263,19 +263,22 @@ class TestApplyElement:
         np.testing.assert_allclose(block, expected, rtol=0, atol=ATOL)
 
     @pytest.mark.parametrize(
-        "spec, error",
+        "kind, operands, error",
         [
-            (ElementSpec("phaseshifter", ("Z",), (0.1,)), UnknownLabelError),
-            (ElementSpec("beamsplitter", ("A", "B", "C", "Z"), (0.1,)), UnknownLabelError),
-            (ElementSpec("waveplate", ("B",), (0.1,)), ValueError),
+            ("phaseshifter", ("Z",), UnknownLabelError),
+            ("beamsplitter", ("A", "B", "C", "Z"), UnknownLabelError),
+            ("beamsplitter", ("A", "B", "B", "A"), ValueError),
+            ("waveplate", ("B",), ValueError),
         ],
-        ids=["unknown-arm", "unknown-output", "waveplate-no-pol"],
+        ids=["unknown-arm", "unknown-output", "overlapping-routing", "waveplate-no-pol"],
     )
-    def test_rejected_spec_leaves_rows_untouched(self, spec, error):
+    def test_rejected_spec_leaves_rows_untouched(self, kind, operands, error):
+        """The spec is built inside each check: an overlapping routing already
+        fails at ElementSpec, the basis checks at check_element."""
         with pytest.raises(error):
-            check_element(spec, BASIS)
+            check_element(ElementSpec(kind, operands, (0.1,)), BASIS)
         block = _random_block(BASIS)
         before = block.tobytes()
         with pytest.raises(error):
-            apply_element(spec, BASIS, block)
+            apply_element(ElementSpec(kind, operands, (0.1,)), BASIS, block)
         assert block.tobytes() == before
