@@ -33,7 +33,6 @@ from .qstate import (
     UnknownLabelError,
     adjoint,
     apply,
-    identity,
     inner,
 )
 from .scendsl import (
@@ -112,7 +111,6 @@ __all__ = [
     "couple_pointers",
     "element_operator",
     "forward_state",
-    "identity",
     "inner",
     "parse_scenario",
     "postselect_and_readout",

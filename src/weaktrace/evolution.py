@@ -61,7 +61,7 @@ class Scenario:
     ``stage_matrices``, the read-only ``(n_stages, d, d)`` stack of each
     stage's elements applied to the identity, is built once here, so an
     element that does not fit the basis raises here and every stage is
-    unitary by construction.  Normalization, adjacency and slots are
+    unitary by construction.  Normalization, adjacency, slots and labels are
     reported by ``scendsl.validate`` so that broken scenarios can be
     diagnosed instead of being unrepresentable.
 

@@ -1,18 +1,18 @@
-"""Exact complex vector-space core: composite bases, states and operators.
+"""Composite bases, and the state and operator records that live on them.
 
 Everything here is dense ``numpy.complex128``: the interferometers this
 package targets have a few dozen path modes at most and an optional
 two-level polarization factor, so dimensions stay in the tens (a
 seven-loop generated chain with polarization has 54) and exactness
-matters more than scale.  All values are immutable after
-construction and all operations are pure.
+matters more than scale.  :class:`StateVector` and :class:`Operator` are
+plain records, a basis plus one read-only array checked for shape and
+finiteness; the pipeline itself works on a scenario's arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
@@ -110,10 +110,11 @@ def _as_amplitude_array(values, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Complex amplitudes over a composite basis.
+    """Complex amplitudes over a composite basis, as one read-only array.
 
-    Unnormalized intermediates are allowed; ``is_normalized`` flags whether
-    the state currently has unit norm within ``ATOL``.
+    Any norm is allowed here and ``norm()`` reports it; the parser and
+    ``scendsl.validate`` require the pre- and post-selection to have unit
+    norm within ``ATOL``.
     """
 
     basis: BasisDescriptor
@@ -124,47 +125,10 @@ class StateVector:
             self, "amplitudes", _as_amplitude_array(self.amplitudes, self.basis.dimension)
         )
 
-    @classmethod
-    def basis_state(cls, basis: BasisDescriptor, arm: str, pol: str | None = None) -> "StateVector":
-        amps = np.zeros(basis.dimension, dtype=np.complex128)
-        amps[basis.index(arm, pol)] = 1.0
-        return cls(basis, amps)
-
-    @classmethod
-    def from_terms(
-        cls, basis: BasisDescriptor, terms: Mapping[tuple[str, str | None] | str, complex]
-    ) -> "StateVector":
-        """Build a state from ``{arm: amp}`` or ``{(arm, pol): amp}`` entries."""
-        amps = np.zeros(basis.dimension, dtype=np.complex128)
-        for key, value in terms.items():
-            arm, pol = key if isinstance(key, tuple) else (key, None)
-            amps[basis.index(arm, pol)] += value
-        return cls(basis, amps)
-
     def norm(self) -> float:
         """Euclidean norm; ``inf`` when finite amplitudes are too large to square."""
         with np.errstate(over="ignore"):
             return float(np.linalg.norm(self.amplitudes))
-
-    @property
-    def is_normalized(self) -> bool:
-        return abs(self.norm() - 1.0) <= ATOL
-
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.basis, self.amplitudes / n)
-
-    def amplitude(self, arm: str, pol: str | None = None) -> complex:
-        return complex(self.amplitudes[self.basis.index(arm, pol)])
-
-    def arm_amplitudes(self, arm: str) -> np.ndarray:
-        """Amplitude block of one arm (length 1, or 2 with polarization)."""
-        return self.amplitudes[list(self.basis.arm_indices(arm))]
-
-    def arm_norm(self, arm: str) -> float:
-        return float(np.linalg.norm(self.arm_amplitudes(arm)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,9 +136,7 @@ class Operator:
     """Dense complex matrix on a composite basis.
 
     Construction only converts, checks shape and finiteness, and freezes
-    the matrix.  ``unitary`` is a fact about that matrix, computed (within
-    ``ATOL``) the first time it is read and cached, so a caller that must
-    enforce it pays for one check per operator.
+    the matrix; :func:`is_unitary_matrix` tells whether it is unitary.
     """
 
     basis: BasisDescriptor
@@ -191,32 +153,17 @@ class Operator:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
-    @cached_property
-    def unitary(self) -> bool:
-        return is_unitary_matrix(self.matrix)
 
-    def __matmul__(self, other: "Operator") -> "Operator":
-        _require_same_basis(self.basis, other.basis)
-        return Operator(self.basis, self.matrix @ other.matrix)
-
-
-def _close(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
-    """``np.allclose(a, b, rtol=0, atol=atol)``, equal infinities included, minus its overhead."""
+def is_unitary_matrix(mat: np.ndarray) -> bool:
+    """``U† U`` equals the identity within ``ATOL``: ``np.allclose`` (rtol 0) minus its overhead."""
+    gram, eye = mat.conj().T @ mat, np.eye(mat.shape[0])
     with np.errstate(invalid="ignore"):
-        return bool(np.all((np.abs(a - b) <= atol) | (a == b)))
-
-
-def is_unitary_matrix(mat: np.ndarray, atol: float = ATOL) -> bool:
-    return _close(mat.conj().T @ mat, np.eye(mat.shape[0]), atol)
+        return bool(np.all((np.abs(gram - eye) <= ATOL) | (gram == eye)))
 
 
 def _require_same_basis(a: BasisDescriptor, b: BasisDescriptor) -> None:
     if a != b:
         raise DimensionError(f"basis mismatch: {a} vs {b}")
-
-
-def identity(basis: BasisDescriptor) -> Operator:
-    return Operator(basis, np.eye(basis.dimension))
 
 
 def inner(bra: StateVector, ket: StateVector) -> complex:

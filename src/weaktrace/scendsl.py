@@ -253,7 +253,7 @@ class _Parser:
     def run(self) -> Scenario:
         for row in self.rows:
             head = row[0]
-            handler = getattr(self, f"_directive_{head.text.replace('-', '_')}", None)
+            handler = getattr(self, f"_directive_{head.text}", None)
             if handler is None:
                 self.fail(f"unknown directive {head.text!r}", head)
             handler(row)
@@ -456,9 +456,12 @@ def _format_element(spec: ElementSpec) -> str:
 def validate(scenario: Scenario) -> list[Diagnostic]:
     """All scenario-invariant violations; an empty list means valid.
 
-    Reports unnormalized states, unknown adjacency ends and self-edges, and
-    out-of-range or duplicate slots.  The parser rejects each at its own
-    directive, so only a scenario built through the API can have any.
+    Reports unnormalized states, unknown adjacency ends and self-edges,
+    out-of-range or duplicate slots, duplicate stage labels, arms named
+    after a sentinel, and arm, stage or slot labels that are empty or hold
+    whitespace or ``#``, which the canonical text cannot carry.  The parser
+    rejects each at its own directive or cannot express it, so only a
+    scenario built through the API can have any.
     """
     problems: list[Diagnostic] = []
     for role, state in (("preselect", scenario.preselect), ("postselect", scenario.postselect)):
@@ -488,6 +491,23 @@ def validate(scenario: Scenario) -> list[Diagnostic]:
         if slot.name in seen_slots:
             problems.append(Diagnostic("slot", f"duplicate slot name {slot.name!r}"))
         seen_slots.add(slot.name)
+    stage_labels = [stage.label for stage in scenario.stages]
+    for position, label in enumerate(stage_labels):
+        if label in stage_labels[:position]:
+            problems.append(Diagnostic("stage", f"duplicate stage label {label!r}"))
+    for kind, labels in (
+        ("arm", scenario.basis.path_modes),
+        ("stage", stage_labels),
+        ("slot", [slot.name for slot in scenario.coupling_slots]),
+    ):
+        for label in labels:
+            if not label or re.search(r"[\s#]", label):
+                message = f"{kind} label {label!r} is empty or holds whitespace or '#'"
+            elif kind == "arm" and label in SENTINELS:
+                message = f"arm label {label!r} is a reserved sentinel name"
+            else:
+                continue
+            problems.append(Diagnostic("label", message))
     return problems
 
 

@@ -113,10 +113,6 @@ class PointerEnsemble:
     systems: np.ndarray
     shifts: np.ndarray
 
-    @property
-    def widths(self) -> tuple[float, ...]:
-        return tuple(spec.width for spec in self.specs)
-
     @cached_property
     def branches(self) -> tuple[Branch, ...]:
         """The rows as ``Branch`` objects, in row order, built on first use."""
@@ -124,9 +120,6 @@ class PointerEnsemble:
             Branch(StateVector(self.basis, system), tuple(shift.tolist()))
             for system, shift in zip(self.systems, self.shifts)
         )
-
-    def total_system(self) -> StateVector:
-        return StateVector(self.basis, self.systems.sum(axis=0))
 
 
 @dataclass(frozen=True)
@@ -200,12 +193,10 @@ def _arm_ratio(scenario: Scenario, arm: str, boundary: int) -> WeakValueResult:
     return _ratio(scenario, boundary, arm, lambda row: np.where(on_arm, row, 0.0))
 
 
-def weak_value(
-    scenario: Scenario, observable: Operator, boundary: int, arm: str | None = None
-) -> WeakValueResult:
+def weak_value(scenario: Scenario, observable: Operator, boundary: int) -> WeakValueResult:
     """Ratio of the observable's transition amplitude to the post-selection amplitude."""
     _require_same_basis(observable.basis, scenario.basis)
-    return _ratio(scenario, boundary, arm, lambda row: observable.matrix @ row)
+    return _ratio(scenario, boundary, None, lambda row: observable.matrix @ row)
 
 
 def arm_weak_value(scenario: Scenario, arm: str, boundary: int | None = None) -> WeakValueResult:
@@ -272,7 +263,7 @@ def postselect_and_readout(
         raise ValueError("non-finite inner product")
     live = weights != 0.0
     weights, shifts = weights[live], ensemble.shifts[live]
-    widths = np.array(ensemble.widths, dtype=np.float64)
+    widths = np.array([spec.width for spec in ensemble.specs], dtype=np.float64)
     # A width whose square underflows gives 0/0 here; the finiteness check raises.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         diff = shifts[:, None, :] - shifts[None, :, :]
@@ -305,9 +296,9 @@ def postselect_and_readout(
     return tuple(readouts)
 
 
-def _fit_order(xs: list[float], errors: list[float], floor: float = FIT_FLOOR) -> float:
-    """Log-log slope of errors vs xs; ``inf`` when all errors sit at the floor."""
-    points = [(x, e) for x, e in zip(xs, errors) if e > floor and x > 0.0]
+def _fit_order(xs: list[float], errors: list[float]) -> float:
+    """Log-log slope of errors vs xs; ``inf`` when all errors sit at ``FIT_FLOOR``."""
+    points = [(x, e) for x, e in zip(xs, errors) if e > FIT_FLOOR and x > 0.0]
     if not points:
         return math.inf
     if len(points) < 2:

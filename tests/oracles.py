@@ -206,3 +206,10 @@ def full_sum_pointer_readout(
         mean_x.append(float((cross * (a + b) / 2.0).sum().real) / probability)
         mean_p.append(float((cross * 1j * (a - b) / (4.0 * sigma**2)).sum().real) / probability)
     return probability, np.array(mean_x), np.array(mean_p)
+
+
+def basis_vector(basis, arm: str, pol: str | None = None) -> np.ndarray:
+    """The basis ket ``|arm>`` (or ``|arm, pol>``) of a package basis, as amplitudes."""
+    amps = np.zeros(basis.dimension, dtype=np.complex128)
+    amps[basis.index(arm, pol)] = 1.0
+    return amps

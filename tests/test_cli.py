@@ -1,8 +1,10 @@
-"""Byte-stable JSON documents and exit codes of ``cli.execute``.
+"""Byte-stable output and exit codes of ``cli.execute``.
 
-The files under ``tests/golden`` were written by the CLI before the
-scenario evolution was compiled into boundary-state arrays; any change to
-a printed digit shows up here as a byte difference.
+The ``.json`` files under ``tests/golden`` were written by the CLI before
+the scenario evolution was compiled into boundary-state arrays, the
+``.txt`` files (the default table output, and ``builtin``'s canonical
+text) before ``StateVector`` and ``Operator`` became plain records; any
+change to a printed digit shows up here as a byte difference.
 """
 
 import io
@@ -23,13 +25,24 @@ CASES = {
 }
 
 
+def _assert_golden(argv, path, capsys):
+    assert execute(argv) == 0
+    assert capsys.readouterr().out == path.read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("fig", ["fig1", "fig2"])
 def test_json_matches_golden_bytes(fig, case, capsys):
     command, *options = CASES[case]
-    assert execute([command, fig, *options, "--format", "json"]) == 0
-    expected = (GOLDEN / f"{fig}-{case}.json").read_text(encoding="utf-8")
-    assert capsys.readouterr().out == expected
+    argv = [command, fig, *options, "--format", "json"]
+    _assert_golden(argv, GOLDEN / f"{fig}-{case}.json", capsys)
+
+
+@pytest.mark.parametrize("case", sorted(CASES) + ["builtin"])
+@pytest.mark.parametrize("fig", ["fig1", "fig2"])
+def test_default_table_matches_golden_bytes(fig, case, capsys):
+    command, *options = CASES.get(case, ["builtin"])
+    _assert_golden([command, fig, *options], GOLDEN / f"{fig}-{case}.txt", capsys)
 
 
 @pytest.mark.parametrize(

@@ -8,9 +8,9 @@ from weaktrace.optics import (
     check_element,
     element_operator,
 )
-from weaktrace.qstate import ATOL, BasisDescriptor, StateVector, UnknownLabelError, apply
+from weaktrace.qstate import ATOL, BasisDescriptor, UnknownLabelError, is_unitary_matrix
 
-from oracles import fig1_stage_matrices, fig2_stage_matrices
+from oracles import basis_vector, fig1_stage_matrices, fig2_stage_matrices
 
 BASIS = BasisDescriptor(("S", "A", "B", "C", "D", "E", "F"))
 POL_BASIS = BasisDescriptor(("S", "A", "B", "C", "D", "E", "F"), polarization_enabled=True)
@@ -26,9 +26,9 @@ class TestBeamsplitter:
     def test_half_pi_swaps_with_phase(self):
         spec = ElementSpec("beamsplitter", ("B", "C", "B", "C"), (np.pi / 2,))
         op = element_operator(spec, BASIS)
-        psi = apply(op, StateVector.basis_state(BASIS, "B"))
-        assert psi.amplitude("C") == pytest.approx(1j, abs=ATOL)
-        assert abs(psi.amplitude("B")) <= ATOL
+        psi = op.matrix @ basis_vector(BASIS, "B")
+        assert psi[BASIS.index("C")] == pytest.approx(1j, abs=ATOL)
+        assert abs(psi[BASIS.index("B")]) <= ATOL
 
     def test_identical_arms_rejected(self):
         with pytest.raises(ValueError):
@@ -37,24 +37,25 @@ class TestBeamsplitter:
     def test_inverse_angle(self):
         forward = element_operator(ElementSpec("beamsplitter", ("B", "C", "B", "C"), (0.3,)), BASIS)
         back = element_operator(ElementSpec("beamsplitter", ("B", "C", "B", "C"), (-0.3,)), BASIS)
-        np.testing.assert_allclose((back @ forward).matrix, np.eye(7), atol=ATOL)
+        np.testing.assert_allclose(back.matrix @ forward.matrix, np.eye(7), atol=ATOL)
 
     def test_fig_port_assignment(self):
         spec = ElementSpec("beamsplitter", ("S", "A", "D", "A"), (np.pi / 4,))
         op = element_operator(spec, BASIS)
-        psi = apply(op, StateVector.basis_state(BASIS, "S"))
-        assert psi.amplitude("D") == pytest.approx(1 / SQ2, abs=ATOL)
-        assert psi.amplitude("A") == pytest.approx(1j / SQ2, abs=ATOL)
+        psi = op.matrix @ basis_vector(BASIS, "S")
+        assert psi[BASIS.index("D")] == pytest.approx(1 / SQ2, abs=ATOL)
+        assert psi[BASIS.index("A")] == pytest.approx(1j / SQ2, abs=ATOL)
 
     def test_routed_two_input_ports(self):
         spec = ElementSpec("beamsplitter", ("C", "B", "E", "F"), (np.pi / 4,))
         op = element_operator(spec, BASIS)
-        from_c = apply(op, StateVector.basis_state(BASIS, "C"))
-        from_b = apply(op, StateVector.basis_state(BASIS, "B"))
-        assert from_c.amplitude("E") == pytest.approx(1 / SQ2, abs=ATOL)
-        assert from_c.amplitude("F") == pytest.approx(1j / SQ2, abs=ATOL)
-        assert from_b.amplitude("E") == pytest.approx(1j / SQ2, abs=ATOL)
-        assert from_b.amplitude("F") == pytest.approx(1 / SQ2, abs=ATOL)
+        e, f = BASIS.index("E"), BASIS.index("F")
+        from_c = op.matrix @ basis_vector(BASIS, "C")
+        from_b = op.matrix @ basis_vector(BASIS, "B")
+        assert from_c[e] == pytest.approx(1 / SQ2, abs=ATOL)
+        assert from_c[f] == pytest.approx(1j / SQ2, abs=ATOL)
+        assert from_b[e] == pytest.approx(1j / SQ2, abs=ATOL)
+        assert from_b[f] == pytest.approx(1 / SQ2, abs=ATOL)
 
     def test_routed_overlapping_routes_rejected(self):
         with pytest.raises(ValueError, match="not a disjoint relabeling"):
@@ -84,7 +85,7 @@ class TestBeamsplitter:
         expected = element_operator(mixer, basis).matrix @ perm
         op = element_operator(ElementSpec("beamsplitter", (*inputs, *outputs), (0.3,)), basis)
         assert np.array_equal(op.matrix, expected)
-        assert op.unitary
+        assert is_unitary_matrix(op.matrix)
 
     @pytest.mark.parametrize(
         "name, oracle", [("fig1", fig1_stage_matrices), ("fig2", fig2_stage_matrices)]
@@ -105,22 +106,22 @@ class TestBeamsplitter:
     def test_routed_preserves_polarization(self):
         spec = ElementSpec("beamsplitter", ("S", "A", "D", "A"), (np.pi / 4,))
         op = element_operator(spec, POL_BASIS)
-        psi = apply(op, StateVector.basis_state(POL_BASIS, "S", "V"))
-        assert psi.amplitude("D", "V") == pytest.approx(1 / SQ2, abs=ATOL)
-        assert abs(psi.amplitude("D", "H")) <= ATOL
+        psi = op.matrix @ basis_vector(POL_BASIS, "S", "V")
+        assert psi[POL_BASIS.index("D", "V")] == pytest.approx(1 / SQ2, abs=ATOL)
+        assert abs(psi[POL_BASIS.index("D", "H")]) <= ATOL
 
 
 class TestWaveplate:
     def test_plus_quarter_h_to_diag(self):
         op = element_operator(ElementSpec("waveplate", ("B",), (np.pi / 4,)), POL_BASIS)
-        psi = apply(op, StateVector.basis_state(POL_BASIS, "B", "H"))
-        assert psi.amplitude("B", "H") == pytest.approx(1 / SQ2, abs=ATOL)
-        assert psi.amplitude("B", "V") == pytest.approx(1 / SQ2, abs=ATOL)
+        psi = op.matrix @ basis_vector(POL_BASIS, "B", "H")
+        assert psi[POL_BASIS.index("B", "H")] == pytest.approx(1 / SQ2, abs=ATOL)
+        assert psi[POL_BASIS.index("B", "V")] == pytest.approx(1 / SQ2, abs=ATOL)
 
     def test_minus_quarter_h_to_antidiag(self):
         op = element_operator(ElementSpec("waveplate", ("C",), (-np.pi / 4,)), POL_BASIS)
-        psi = apply(op, StateVector.basis_state(POL_BASIS, "C", "H"))
-        assert psi.amplitude("C", "V") == pytest.approx(-1 / SQ2, abs=ATOL)
+        psi = op.matrix @ basis_vector(POL_BASIS, "C", "H")
+        assert psi[POL_BASIS.index("C", "V")] == pytest.approx(-1 / SQ2, abs=ATOL)
 
     def test_zero_angle_identity(self):
         op = element_operator(ElementSpec("waveplate", ("B",), (0.0,)), POL_BASIS)
@@ -128,8 +129,8 @@ class TestWaveplate:
 
     def test_disjoint_arm_untouched(self):
         op = element_operator(ElementSpec("waveplate", ("B",), (np.pi / 4,)), POL_BASIS)
-        psi = apply(op, StateVector.basis_state(POL_BASIS, "C", "H"))
-        assert psi.amplitude("C", "H") == 1.0
+        psi = op.matrix @ basis_vector(POL_BASIS, "C", "H")
+        assert psi[POL_BASIS.index("C", "H")] == 1.0
 
     def test_requires_polarization(self):
         with pytest.raises(ValueError, match="polarization"):
@@ -138,20 +139,20 @@ class TestWaveplate:
     def test_different_arms_commute(self):
         wp_b = element_operator(ElementSpec("waveplate", ("B",), (0.7,)), POL_BASIS)
         wp_c = element_operator(ElementSpec("waveplate", ("C",), (-0.3,)), POL_BASIS)
-        np.testing.assert_allclose((wp_b @ wp_c).matrix, (wp_c @ wp_b).matrix, atol=ATOL)
+        np.testing.assert_allclose(wp_b.matrix @ wp_c.matrix, wp_c.matrix @ wp_b.matrix, atol=ATOL)
 
     def test_commutes_with_own_arm_projector(self):
         wp = element_operator(ElementSpec("waveplate", ("B",), (0.7,)), POL_BASIS)
         proj = arm_projector(POL_BASIS, "B")
-        np.testing.assert_allclose((wp @ proj).matrix, (proj @ wp).matrix, atol=ATOL)
+        np.testing.assert_allclose(wp.matrix @ proj.matrix, proj.matrix @ wp.matrix, atol=ATOL)
 
 
 class TestArmProjector:
     def test_projects_basis_component(self):
-        psi = StateVector.from_terms(BASIS, {"D": 1 / SQ2, "A": 1j / SQ2})
-        out = apply(arm_projector(BASIS, "A"), psi)
-        assert out.amplitude("A") == pytest.approx(1j / SQ2, abs=ATOL)
-        assert out.arm_norm("D") <= ATOL
+        psi = (basis_vector(BASIS, "D") + 1j * basis_vector(BASIS, "A")) / SQ2
+        out = arm_projector(BASIS, "A").matrix @ psi
+        assert out[BASIS.index("A")] == pytest.approx(1j / SQ2, abs=ATOL)
+        assert abs(out[BASIS.index("D")]) <= ATOL
 
     def test_resolution_of_identity(self):
         total = sum(arm_projector(POL_BASIS, arm).matrix for arm in POL_BASIS.path_modes)
@@ -169,19 +170,21 @@ class TestPhaseshifterAndMirror:
 
     def test_pi_flips_sign(self):
         op = element_operator(ElementSpec("phaseshifter", ("A",), (np.pi,)), BASIS)
-        psi = apply(op, StateVector.basis_state(BASIS, "A"))
-        assert psi.amplitude("A") == pytest.approx(-1.0, abs=ATOL)
+        psi = op.matrix @ basis_vector(BASIS, "A")
+        assert psi[BASIS.index("A")] == pytest.approx(-1.0, abs=ATOL)
 
     def test_phases_add(self):
         def shift(phase):
             return element_operator(ElementSpec("phaseshifter", ("A",), (phase,)), BASIS)
 
-        np.testing.assert_allclose((shift(0.4) @ shift(0.6)).matrix, shift(1.0).matrix, atol=ATOL)
+        np.testing.assert_allclose(
+            shift(0.4).matrix @ shift(0.6).matrix, shift(1.0).matrix, atol=ATOL
+        )
 
     def test_mirror_is_quarter_turn_phase(self):
         op = element_operator(ElementSpec("mirror", ("A",)), BASIS)
-        psi = apply(op, StateVector.basis_state(BASIS, "A"))
-        assert psi.amplitude("A") == pytest.approx(1j, abs=ATOL)
+        psi = op.matrix @ basis_vector(BASIS, "A")
+        assert psi[BASIS.index("A")] == pytest.approx(1j, abs=ATOL)
 
 
 class TestElementSpec:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from weaktrace import optics, qstate, scendsl
 from weaktrace.evolution import Slot, Stage
 from weaktrace.optics import ElementSpec, element_operator
-from weaktrace.qstate import StateVector, is_unitary_matrix
+from weaktrace.qstate import BasisDescriptor, StateVector, is_unitary_matrix
 from weaktrace.scendsl import (
     BUILTIN_TEXTS,
     FIG2_TEXT,
@@ -90,6 +90,15 @@ def _scaled(state, factor):
     return StateVector(state.basis, factor * state.amplitudes)
 
 
+def _two_arms(arms):
+    basis = BasisDescriptor(arms)
+    state = StateVector(basis, [0.6, 0.8])
+    return {
+        "basis": basis, "stages": (), "preselect": state, "postselect": state,
+        "adjacency": (), "coupling_slots": (),
+    }
+
+
 @pytest.mark.parametrize(
     "code, change",
     [
@@ -100,10 +109,17 @@ def _scaled(state, factor):
         ("adjacency", lambda s: {"adjacency": s.adjacency + (("B", "B"),)}),
         ("slot", lambda s: {"coupling_slots": s.coupling_slots + (Slot("late", 4),)}),
         ("slot", lambda s: {"coupling_slots": s.coupling_slots + (Slot("A", 0),)}),
+        ("stage", lambda s: {"stages": s.stages + s.stages[:1]}),
+        ("label", lambda s: {"stages": s.stages + (Stage(""),)}),
+        ("label", lambda s: {"stages": s.stages + (Stage("late stage"),)}),
+        ("label", lambda s: _two_arms(("A", "B C"))),
+        ("label", lambda s: _two_arms(("A", "SOURCE"))),
+        ("label", lambda s: {"coupling_slots": s.coupling_slots + (Slot("x#y", 1),)}),
     ],
     ids=[
         "preselect", "postselect", "overflow",
         "unknown-arm", "self-edge", "range", "duplicate",
+        "duplicate-stage", "empty-stage", "spaced-stage", "spaced-arm", "sentinel-arm", "hash-slot",
     ],
 )
 def test_validate_reports_broken_invariant(fig1, code, change):
