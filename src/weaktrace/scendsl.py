@@ -1,7 +1,7 @@
 """Textual scenario description language: parsing, serialization, validation.
 
-The grammar is line-oriented, one directive per line, with ``#`` comments
-and case-sensitive labels::
+The grammar is line-oriented, one directive per line, with ``#``
+comments::
 
     modes <label>...                          # path modes, declared first
     polarization on|off
@@ -16,6 +16,11 @@ and case-sensitive labels::
     slot <name>                               # coupling slot at current boundary
     adjacency <arm> <arm>                     # arms or SOURCE/DETECTOR sentinels
     postselect <term> [+|- <term>]...
+
+Labels are case-sensitive and unique within their kind (arm, stage or
+slot); each is non-empty and holds no whitespace or ``#``.  An arm label
+also holds no ``:``, which splits a state term's arm from its
+polarization, and is not a reserved sentinel, ``SOURCE`` or ``DETECTOR``.
 
 Angles are rational multiples of pi (``pi/4``, ``-pi/4``, ``2pi/3``, ``0``)
 or decimals.  Amplitudes accept decimals (``0.5``, ``-0.25``), rationals
@@ -33,13 +38,12 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .evolution import DETECTOR, SOURCE, Scenario, Slot, Stage
 from .optics import ElementSpec, check_element
 from .qstate import ATOL, POLARIZATION_AXES, BasisDescriptor, StateVector
 
 SENTINELS = (SOURCE, DETECTOR)
+_UNWRITABLE = re.compile(r"[\s#]")
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -56,10 +60,43 @@ class ScenarioParseError(ValueError):
 
 @dataclass(frozen=True)
 class Diagnostic:
-    """One scenario-invariant violation found by :func:`validate`."""
+    """One broken scenario rule: :func:`validate` reports it, the parser raises it."""
 
     code: str
     message: str
+
+
+def _check_normalized(role: str, state: StateVector) -> Diagnostic | None:
+    norm = state.norm()
+    if abs(norm - 1.0) > ATOL:
+        return Diagnostic("normalization", f"{role} state is not normalized (norm={norm!r})")
+    return None
+
+
+def _check_adjacency_end(end: str, arms: tuple[str, ...]) -> Diagnostic | None:
+    if end not in arms and end not in SENTINELS:
+        return Diagnostic("adjacency", f"adjacency references unknown arm {end!r}")
+    return None
+
+
+def _check_self_edge(a: str, b: str) -> Diagnostic | None:
+    if a == b:
+        return Diagnostic("adjacency", f"adjacency self-edge on {a!r}")
+    return None
+
+
+def _check_label(kind: str, label: str, seen: set[str]) -> Diagnostic | None:
+    """The module docstring's label rule; records ``label`` in ``seen``, its kind's labels."""
+    if label in seen:
+        return Diagnostic(kind, f"duplicate {kind} label {label!r}")
+    seen.add(label)
+    if not label or _UNWRITABLE.search(label):
+        return Diagnostic("label", f"{kind} label {label!r} is empty or holds whitespace or '#'")
+    if kind == "arm" and ":" in label:
+        return Diagnostic("label", f"arm label {label!r} holds ':', the polarization separator")
+    if kind == "arm" and label in SENTINELS:
+        return Diagnostic("label", f"arm label {label!r} is a reserved sentinel name")
+    return None
 
 
 @dataclass(frozen=True)
@@ -173,12 +210,12 @@ def format_angle(value: float) -> str:
     return repr(value)
 
 
-def _state_terms(head: _Token, tokens: list[_Token], basis: BasisDescriptor) -> np.ndarray:
+def _state_terms(head: _Token, tokens: list[_Token], basis: BasisDescriptor) -> StateVector:
     if not tokens:
         raise ScenarioParseError(
             f"{head.text} expects at least one amplitude term", head.line, head.column
         )
-    amps = np.zeros(basis.dimension, dtype=np.complex128)
+    amps = [0j] * basis.dimension
     expect_term = True
     sign = 1.0
     for tok in tokens:
@@ -215,7 +252,10 @@ def _state_terms(head: _Token, tokens: list[_Token], basis: BasisDescriptor) -> 
         raise ScenarioParseError(
             "state declaration ends with a dangling separator", last.line, last.column
         )
-    return amps
+    try:
+        return StateVector(basis, amps)
+    except ValueError as exc:  # terms on one basis element can sum past the float range
+        raise ScenarioParseError(str(exc), head.line, head.column) from None
 
 
 class _Parser:
@@ -226,14 +266,23 @@ class _Parser:
         self.modes: tuple[str, ...] | None = None
         self.polarization: bool | None = None
         self.basis: BasisDescriptor | None = None
-        self.preselect: np.ndarray | None = None
-        self.postselect: np.ndarray | None = None
+        self.preselect: StateVector | None = None
+        self.postselect: StateVector | None = None
         self.stages: list[tuple[str, list[ElementSpec]]] = []
         self.slots: list[Slot] = []
         self.adjacency: set[tuple[str, str]] = set()
+        self.seen: dict[str, set[str]] = {"arm": set(), "stage": set(), "slot": set()}
 
     def fail(self, message: str, tok: _Token) -> None:
         raise ScenarioParseError(message, tok.line, tok.column)
+
+    def check(self, problem: Diagnostic | None, tok: _Token) -> None:
+        if problem is not None:
+            self.fail(problem.message, tok)
+
+    def label(self, kind: str, tok: _Token) -> str:
+        self.check(_check_label(kind, tok.text, self.seen[kind]), tok)
+        return tok.text
 
     def need_basis(self, tok: _Token) -> BasisDescriptor:
         if self.basis is None:
@@ -268,8 +317,8 @@ class _Parser:
         return Scenario(
             basis=basis,
             stages=[Stage(label, elements) for label, elements in self.stages],
-            preselect=StateVector(basis, self.preselect),
-            postselect=StateVector(basis, self.postselect),
+            preselect=self.preselect,
+            postselect=self.postselect,
             adjacency=tuple(sorted(self.adjacency)),
             coupling_slots=tuple(self.slots),
             name=self.name,
@@ -282,14 +331,7 @@ class _Parser:
             self.fail("duplicate modes declaration", row[0])
         if len(row) < 2:
             self.fail("modes expects at least one label", row[0])
-        labels = []
-        for tok in row[1:]:
-            if tok.text in SENTINELS:
-                self.fail(f"{tok.text} is a reserved sentinel name", tok)
-            if tok.text in labels:
-                self.fail(f"duplicate arm label {tok.text!r}", tok)
-            labels.append(tok.text)
-        self.modes = tuple(labels)
+        self.modes = tuple(self.label("arm", tok) for tok in row[1:])
 
     def _directive_polarization(self, row: list[_Token]) -> None:
         (arg,) = self.args(row, 1)
@@ -305,22 +347,16 @@ class _Parser:
         role = row[0].text
         if getattr(self, role) is not None:
             self.fail(f"duplicate {role} directive", row[0])
-        basis = self.need_basis(row[0])
-        amps = _state_terms(row[0], row[1:], basis)
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > ATOL:
-            self.fail(f"{role} state is not normalized (norm={norm!r})", row[0])
-        setattr(self, role, amps)
+        state = _state_terms(row[0], row[1:], self.need_basis(row[0]))
+        self.check(_check_normalized(role, state), row[0])
+        setattr(self, role, state)
 
     _directive_preselect = _directive_postselect = _state_directive
 
     def _directive_stage(self, row: list[_Token]) -> None:
         (label,) = self.args(row, 1)
         self.need_basis(row[0])
-        if any(existing == label.text for existing, _ in self.stages):
-            self.fail(f"duplicate stage label {label.text!r}", label)
-        self.stages.append((label.text, []))
+        self.stages.append((self.label("stage", label), []))
 
     def _append_element(self, head: _Token, operands: tuple[str, ...], *parameters) -> None:
         if not self.stages:
@@ -375,21 +411,14 @@ class _Parser:
 
     def _directive_slot(self, row: list[_Token]) -> None:
         (name,) = self.args(row, 1)
-        if any(slot.name == name.text for slot in self.slots):
-            self.fail(f"duplicate slot name {name.text!r}", name)
-        self.slots.append(Slot(name=name.text, boundary=len(self.stages)))
+        self.slots.append(Slot(name=self.label("slot", name), boundary=len(self.stages)))
 
     def _directive_adjacency(self, row: list[_Token]) -> None:
         a_tok, b_tok = self.args(row, 2)
-        ends = []
         for tok in (a_tok, b_tok):
-            if tok.text in SENTINELS or (self.modes is not None and tok.text in self.modes):
-                ends.append(tok.text)
-            else:
-                self.fail(f"unknown arm {tok.text!r}", tok)
-        if ends[0] == ends[1]:
-            self.fail(f"adjacency edge endpoints identical: {ends[0]!r}", a_tok)
-        self.adjacency.add(tuple(sorted(ends)))
+            self.check(_check_adjacency_end(tok.text, self.modes or ()), tok)
+        self.check(_check_self_edge(a_tok.text, b_tok.text), a_tok)
+        self.adjacency.add(tuple(sorted((a_tok.text, b_tok.text))))
 
 
 def parse_scenario(text: str, name: str = "") -> Scenario:
@@ -456,59 +485,33 @@ def _format_element(spec: ElementSpec) -> str:
 def validate(scenario: Scenario) -> list[Diagnostic]:
     """All scenario-invariant violations; an empty list means valid.
 
-    Reports unnormalized states, unknown adjacency ends and self-edges,
-    out-of-range or duplicate slots, duplicate stage labels, arms named
-    after a sentinel, and arm, stage or slot labels that are empty or hold
-    whitespace or ``#``, which the canonical text cannot carry.  The parser
-    rejects each at its own directive or cannot express it, so only a
-    scenario built through the API can have any.
+    Applies the parser's rules (normalization, adjacency ends and edges,
+    and the label rule of the module docstring) to every item, and reports
+    slots whose boundary lies outside the stages, which text cannot express.
+    A parsed scenario passes every rule by construction, so only one built
+    through the API can fail.
     """
-    problems: list[Diagnostic] = []
-    for role, state in (("preselect", scenario.preselect), ("postselect", scenario.postselect)):
-        norm = state.norm()
-        if abs(norm - 1.0) > ATOL:
-            problems.append(
-                Diagnostic("normalization", f"{role} state is not normalized (norm={norm!r})")
-            )
-    known = set(scenario.basis.path_modes) | set(SENTINELS)
+    arms = scenario.basis.path_modes
+    problems = [
+        _check_normalized("preselect", scenario.preselect),
+        _check_normalized("postselect", scenario.postselect),
+    ]
     for a, b in scenario.adjacency:
-        for end in (a, b):
-            if end not in known:
-                problems.append(
-                    Diagnostic("adjacency", f"adjacency references unknown arm {end!r}")
-                )
-        if a == b:
-            problems.append(Diagnostic("adjacency", f"adjacency self-edge on {a!r}"))
-    seen_slots: set[str] = set()
+        problems += [_check_adjacency_end(a, arms), _check_adjacency_end(b, arms)]
+        problems.append(_check_self_edge(a, b))
+    last = len(scenario.stages)
     for slot in scenario.coupling_slots:
-        if not 0 <= slot.boundary <= len(scenario.stages):
-            problems.append(
-                Diagnostic(
-                    "slot",
-                    f"slot {slot.name!r} boundary {slot.boundary} outside 0..{len(scenario.stages)}",
-                )
-            )
-        if slot.name in seen_slots:
-            problems.append(Diagnostic("slot", f"duplicate slot name {slot.name!r}"))
-        seen_slots.add(slot.name)
-    stage_labels = [stage.label for stage in scenario.stages]
-    for position, label in enumerate(stage_labels):
-        if label in stage_labels[:position]:
-            problems.append(Diagnostic("stage", f"duplicate stage label {label!r}"))
+        if not 0 <= slot.boundary <= last:
+            message = f"slot {slot.name!r} boundary {slot.boundary} outside 0..{last}"
+            problems.append(Diagnostic("slot", message))
     for kind, labels in (
-        ("arm", scenario.basis.path_modes),
-        ("stage", stage_labels),
+        ("arm", arms),
+        ("stage", [stage.label for stage in scenario.stages]),
         ("slot", [slot.name for slot in scenario.coupling_slots]),
     ):
-        for label in labels:
-            if not label or re.search(r"[\s#]", label):
-                message = f"{kind} label {label!r} is empty or holds whitespace or '#'"
-            elif kind == "arm" and label in SENTINELS:
-                message = f"arm label {label!r} is a reserved sentinel name"
-            else:
-                continue
-            problems.append(Diagnostic("label", message))
-    return problems
+        seen: set[str] = set()
+        problems += [_check_label(kind, label, seen) for label in labels]
+    return [problem for problem in problems if problem is not None]
 
 
 FIG1_TEXT = """\
@@ -584,13 +587,9 @@ postselect 1/sqrt2@A:H + i/sqrt2@E:H
 
 BUILTIN_TEXTS = {"fig1": FIG1_TEXT, "fig2": FIG2_TEXT}
 
-_BUILTIN_CACHE: dict[str, Scenario] = {}
-
 
 def builtin_scenario(name: str) -> Scenario:
-    """One of the bundled reference scenarios (``fig1`` or ``fig2``)."""
+    """One of the bundled reference scenarios (``fig1`` or ``fig2``), parsed anew."""
     if name not in BUILTIN_TEXTS:
         raise ValueError(f"unknown builtin scenario {name!r}; known: {sorted(BUILTIN_TEXTS)}")
-    if name not in _BUILTIN_CACHE:
-        _BUILTIN_CACHE[name] = parse_scenario(BUILTIN_TEXTS[name], name=name)
-    return _BUILTIN_CACHE[name]
+    return parse_scenario(BUILTIN_TEXTS[name], name=name)

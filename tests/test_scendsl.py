@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weaktrace import optics, qstate, scendsl
-from weaktrace.evolution import Slot, Stage
+from weaktrace.evolution import Scenario, Slot, Stage
 from weaktrace.optics import ElementSpec, element_operator
 from weaktrace.qstate import BasisDescriptor, StateVector, is_unitary_matrix
 from weaktrace.scendsl import (
@@ -114,17 +114,58 @@ def _two_arms(arms):
         ("label", lambda s: {"stages": s.stages + (Stage("late stage"),)}),
         ("label", lambda s: _two_arms(("A", "B C"))),
         ("label", lambda s: _two_arms(("A", "SOURCE"))),
+        ("label", lambda s: _two_arms(("A", "B:x"))),
         ("label", lambda s: {"coupling_slots": s.coupling_slots + (Slot("x#y", 1),)}),
     ],
     ids=[
         "preselect", "postselect", "overflow",
         "unknown-arm", "self-edge", "range", "duplicate",
-        "duplicate-stage", "empty-stage", "spaced-stage", "spaced-arm", "sentinel-arm", "hash-slot",
+        "duplicate-stage", "empty-stage", "spaced-stage", "spaced-arm", "sentinel-arm",
+        "colon-arm", "hash-slot",
     ],
 )
 def test_validate_reports_broken_invariant(fig1, code, change):
     broken = replace(fig1, **change(fig1))
     assert [problem.code for problem in validate(broken)] == [code]
+
+
+def _twin(arms=("A", "B"), **change):
+    """A scenario built through the API on two arms, with ``change`` applied."""
+    return Scenario(**{**_two_arms(arms), **change})
+
+
+_HALF_A = StateVector(BasisDescriptor(("A", "B")), [0.5, 0.0])
+
+
+@pytest.mark.parametrize(
+    "text, twin",
+    [
+        ("modes A B\npreselect 1/2@A\npostselect 1@B\n", _twin(preselect=_HALF_A)),
+        ("modes A B\nadjacency A Q\npreselect 1@A\npostselect 1@B\n",
+         _twin(adjacency=(("A", "Q"),))),
+        ("modes A B\nadjacency B B\npreselect 1@A\npostselect 1@B\n",
+         _twin(adjacency=(("B", "B"),))),
+        ("modes A B\npreselect 1@A\nstage s\nstage s\npostselect 1@B\n",
+         _twin(stages=(Stage("s"), Stage("s")))),
+        ("modes A B\nslot A\npreselect 1@A\nslot A\npostselect 1@B\n",
+         _twin(coupling_slots=(Slot("A", 0), Slot("A", 0)))),
+        ("modes A SOURCE\npreselect 1@A\npostselect 1@A\n", _twin(("A", "SOURCE"))),
+        ("modes A B:x\npreselect 1@A\npostselect 1@A\n", _twin(("A", "B:x"))),
+    ],
+    ids=[
+        "unnormalized-preselect", "unknown-adjacency-end", "self-edge",
+        "duplicate-stage", "duplicate-slot", "sentinel-arm", "colon-arm",
+    ],
+)
+def test_parser_and_validate_report_one_rule_alike(text, twin):
+    with pytest.raises(ScenarioParseError) as info:
+        parse_scenario(text)
+    assert [problem.message for problem in validate(twin)] == [info.value.reason]
+
+
+def test_validate_reports_independent_faults():
+    twin = _twin(preselect=_HALF_A, adjacency=(("B", "B"),))
+    assert [problem.code for problem in validate(twin)] == ["normalization", "adjacency"]
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_TEXTS))
@@ -231,6 +272,11 @@ _BODY = "modes A B\npreselect 1@A\nstage s\n"
         ("modes A B\nslot A\npreselect 1@A\nslot A\npostselect 1@B\n", 4, 6),
         (_BODY + "waveplate A pi/4\npostselect 1@B\n", 4, 1),
         (_BODY + "beamsplitter A B B A pi/4\npostselect 1@B\n", 4, 1),
+        (_BODY + "stage s\npostselect 1@B\n", 4, 7),
+        ("modes A SOURCE\npreselect 1@A\npostselect 1@A\n", 1, 9),
+        ("modes A B A\npreselect 1@A\npostselect 1@A\n", 1, 11),
+        ("modes A B:x\npreselect 1@A\npostselect 1@A\n", 1, 9),
+        ("modes A B\npreselect 1e308@A + 1e308@A\npostselect 1@B\n", 2, 1),
     ],
     ids=[
         "unknown-directive",
@@ -247,6 +293,11 @@ _BODY = "modes A B\npreselect 1@A\nstage s\n"
         "duplicate-slot",
         "waveplate-without-polarization",
         "overlapping-routing",
+        "duplicate-stage",
+        "sentinel-arm",
+        "duplicate-arm",
+        "colon-arm",
+        "overflowing-sum",
     ],
 )
 def test_parse_error_points_at_token(text, line, column):
