@@ -70,19 +70,6 @@ def _json_ready(obj):
     return obj
 
 
-def _emit(document: dict, lines: list[str], fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(_json_ready(document), indent=2))
-    else:
-        for line in lines:
-            print(line)
-
-
-def _scenario_id(scenario) -> dict:
-    digest = hashlib.sha256(serialize_scenario(scenario).encode("utf-8")).hexdigest()
-    return {"name": scenario.name or "<unnamed>", "sha256": digest[:12]}
-
-
 def _load_scenario(arg: str):
     if arg == "-":
         return parse_scenario(sys.stdin.read(), name="<stdin>")
@@ -96,9 +83,7 @@ def _load_scenario(arg: str):
     return parse_scenario(text, name=arg)
 
 
-def _cmd_weakvalues(ns) -> int:
-    scenario = _load_scenario(ns.scenario)
-    ident = _scenario_id(scenario)
+def _cmd_weakvalues(ns, scenario, ident: dict) -> tuple[dict, list[str]]:
     probability = postselect_probability(scenario)
     table = weak_value_table(scenario)
     document = {
@@ -116,13 +101,10 @@ def _cmd_weakvalues(ns) -> int:
     ]
     for r in table:
         lines.append(f"{r.arm:<5} {r.boundary:>8}  {format_complex(r.value)}")
-    _emit(document, lines, ns.format)
-    return 0
+    return document, lines
 
 
-def _cmd_trace(ns) -> int:
-    scenario = _load_scenario(ns.scenario)
-    ident = _scenario_id(scenario)
+def _cmd_trace(ns, scenario, ident: dict) -> tuple[dict, list[str]]:
     presence = presence_map(scenario, ns.threshold)
     verdict = continuity_check(presence, scenario.adjacency)
     document = {
@@ -138,13 +120,10 @@ def _cmd_trace(ns) -> int:
         f"{word}; present: {','.join(presence.present_arms()) or '-'};"
         f" gaps: {','.join(verdict.gap_arms) or '-'}"
     ]
-    _emit(document, lines, ns.format)
-    return 0
+    return document, lines
 
 
-def _cmd_sweep(ns) -> int:
-    scenario = _load_scenario(ns.scenario)
-    ident = _scenario_id(scenario)
+def _cmd_sweep(ns, scenario, ident: dict) -> tuple[dict, list[str]]:
     boundary = ns.boundary
     if boundary is None:
         boundary = dict(scenario.canonical_slots()).get(ns.arm)
@@ -201,21 +180,12 @@ def _cmd_sweep(ns) -> int:
 
     lines.append(f"fitted shift order: {order_text(report.fitted_shift_order)}")
     lines.append(f"fitted disturbance order: {order_text(report.fitted_disturbance_order)}")
-    _emit(document, lines, ns.format)
-    return 0
+    return document, lines
 
 
-def _cmd_builtin(ns) -> int:
-    sys.stdout.write(serialize_scenario(builtin_scenario(ns.name)))
-    return 0
-
-
-def _cmd_validate(ns) -> int:
-    scenario = _load_scenario(ns.scenario)
-    ident = _scenario_id(scenario)
+def _cmd_validate(ns, scenario, ident: dict) -> tuple[dict, list[str]]:
     document = {"scenario": ident, "diagnostics": []}
-    _emit(document, [f"ok: {ident['name']} (sha256 {ident['sha256']})"], ns.format)
-    return 0
+    return document, [f"ok: {ident['name']} (sha256 {ident['sha256']})"]
 
 
 def _g_list(text: str) -> list[float]:
@@ -232,13 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="weaktrace", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_text: str, scenario_arg: bool = True):
+    def add(name: str, func, help_text: str):
         sub = commands.add_parser(name, help=help_text)
-        if scenario_arg:
-            sub.add_argument(
-                "scenario",
-                help="builtin name (fig1, fig2), a scenario file path, or '-' for stdin",
-            )
+        sub.add_argument(
+            "scenario", help="builtin name (fig1, fig2), a scenario file path, or '-' for stdin"
+        )
         sub.add_argument("--format", choices=("table", "json"), default="table")
         sub.set_defaults(func=func)
         return sub
@@ -256,13 +224,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("builtin", help="print a bundled scenario in the textual grammar")
     sub.add_argument("name")
-    sub.set_defaults(func=_cmd_builtin)
 
     add("validate", _cmd_validate, "parse and check a scenario, reporting diagnostics")
     return parser
 
 
 def execute(argv: list[str] | None = None) -> int:
+    """Run one command; every scenario command is loaded, identified and printed here."""
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
@@ -272,7 +240,17 @@ def execute(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help exits 0 inside argparse
         return int(exc.code or 0)
     try:
-        return ns.func(ns)
+        if ns.command == "builtin":
+            sys.stdout.write(serialize_scenario(builtin_scenario(ns.name)))
+            return 0
+        scenario = _load_scenario(ns.scenario)
+        digest = hashlib.sha256(serialize_scenario(scenario).encode("utf-8")).hexdigest()
+        ident = {"name": scenario.name or "<unnamed>", "sha256": digest[:12]}
+        document, lines = ns.func(ns, scenario, ident)
+        if ns.format == "json":
+            lines = [json.dumps(_json_ready(document), indent=2)]
+        print("\n".join(lines))
+        return 0
     except (ScenarioParseError, OSError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

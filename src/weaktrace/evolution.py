@@ -141,8 +141,8 @@ class Scenario:
 
 def forward_state(scenario: Scenario, boundary: int) -> StateVector:
     """Preselected state evolved through the first ``boundary`` stages."""
-    scenario.check_boundary(boundary)
-    return StateVector(scenario.basis, scenario.boundary_states[0][boundary])
+    b = scenario.check_boundary(boundary)
+    return StateVector(scenario.basis, scenario.boundary_states[0][b])
 
 
 def backward_state(scenario: Scenario, boundary: int) -> StateVector:
@@ -152,8 +152,8 @@ def backward_state(scenario: Scenario, boundary: int) -> StateVector:
     with the forward state at the same boundary reproduces the full
     transition amplitude.
     """
-    scenario.check_boundary(boundary)
-    return StateVector(scenario.basis, scenario.boundary_states[1][boundary])
+    b = scenario.check_boundary(boundary)
+    return StateVector(scenario.basis, scenario.boundary_states[1][b])
 
 
 def transition_amplitude(scenario: Scenario, observable: Operator, boundary: int) -> complex:

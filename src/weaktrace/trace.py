@@ -11,11 +11,10 @@ unvisited arms makes the trace discontinuous.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from .evolution import DETECTOR, SOURCE, Scenario
-from .weakmeas import weak_value_table
+from .weakmeas import WeakValueResult, weak_value_table
 
 #: Default presence threshold: orders of magnitude above numerical zeros
 #: (<= 1e-12) and below any physical weak-value magnitude in the bundled
@@ -24,26 +23,22 @@ DEFAULT_THRESHOLD = 1e-9
 
 
 @dataclass(frozen=True)
-class PresenceEntry:
-    arm: str
-    boundary: int
-    value: complex
-    magnitude: float
-    present: bool
-
-
-@dataclass(frozen=True)
 class PresenceMap:
-    """Presence flags per canonical (arm, boundary) coupling point."""
+    """The weak-value table with the threshold that decides presence.
+
+    An arm is present iff the magnitude of its weak value strictly exceeds
+    ``threshold``; ``present_arms`` is the one place that decides it.
+    """
 
     threshold: float
-    entries: tuple[PresenceEntry, ...]
+    weak_values: tuple[WeakValueResult, ...]
 
     def present_arms(self) -> tuple[str, ...]:
-        return tuple(e.arm for e in self.entries if e.present)
+        return tuple(r.arm for r in self.weak_values if abs(r.value) > self.threshold)
 
     def absent_arms(self) -> tuple[str, ...]:
-        return tuple(e.arm for e in self.entries if not e.present)
+        present = self.present_arms()
+        return tuple(r.arm for r in self.weak_values if r.arm not in present)
 
 
 @dataclass(frozen=True)
@@ -63,22 +58,13 @@ class ContinuityVerdict:
 
 
 def presence_map(scenario: Scenario, threshold: float = DEFAULT_THRESHOLD) -> PresenceMap:
-    """Classify each canonical arm as present iff |weak value| > threshold."""
+    """The scenario's weak-value table under the strict presence threshold.
+
+    An arm is present iff ``abs(weak value) > threshold``.
+    """
     if not 0.0 <= threshold < math.inf:
         raise ValueError(f"threshold must be finite and nonnegative, got {threshold}")
-    entries = []
-    for result in weak_value_table(scenario):
-        magnitude = abs(result.value)
-        entries.append(
-            PresenceEntry(
-                arm=result.arm,
-                boundary=result.boundary,
-                value=result.value,
-                magnitude=magnitude,
-                present=magnitude > threshold,
-            )
-        )
-    return PresenceMap(threshold=threshold, entries=tuple(entries))
+    return PresenceMap(threshold=threshold, weak_values=weak_value_table(scenario))
 
 
 def continuity_check(
@@ -91,9 +77,8 @@ def continuity_check(
     contains every present arm.  Gap arms are the absent arms directly
     adjacent to some present arm.
     """
-    arms = [e.arm for e in presence.entries]
     covered = {node for edge in adjacency for node in edge}
-    missing = [arm for arm in arms if arm not in covered]
+    missing = [r.arm for r in presence.weak_values if r.arm not in covered]
     if missing:
         raise ValueError(f"adjacency does not cover arms {missing}")
 
@@ -101,24 +86,22 @@ def continuity_check(
     absent = set(presence.absent_arms())
     nodes = present | {SOURCE, DETECTOR}
     neighbors: dict[str, set[str]] = {node: set() for node in nodes}
+    gaps: set[str] = set()
     for a, b in adjacency:
         if a in nodes and b in nodes:
             neighbors[a].add(b)
             neighbors[b].add(a)
+        gaps |= {x for x, y in ((a, b), (b, a)) if x in absent and y in present}
 
     components = []
     seen: set[str] = set()
     for start in sorted(nodes):
         if start in seen:
             continue
-        queue = deque([start])
-        component = set()
-        while queue:
-            node = queue.popleft()
-            if node in component:
-                continue
-            component.add(node)
-            queue.extend(neighbors[node] - component)
+        component, frontier = set(), {start}
+        while frontier:
+            component |= frontier
+            frontier = set().union(*(neighbors[node] for node in frontier)) - component
         seen |= component
         component_arms = tuple(sorted(component & present))
         if component_arms:
@@ -134,19 +117,10 @@ def continuity_check(
         c.touches_source and c.touches_detector and set(c.arms) == present
         for c in components
     ) and bool(present)
-
-    gap_arms = sorted(
-        arm
-        for arm in absent
-        if any(
-            (arm == a and b in present) or (arm == b and a in present)
-            for a, b in adjacency
-        )
-    )
     return ContinuityVerdict(
         continuous=continuous,
         components=tuple(components),
-        gap_arms=tuple(gap_arms),
+        gap_arms=tuple(sorted(gaps)),
     )
 
 

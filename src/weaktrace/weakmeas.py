@@ -164,12 +164,17 @@ class SweepReport:
     fitted_disturbance_order: float
 
 
-def _ratio(scenario: Scenario, boundary: int, arm: str | None, observe) -> WeakValueResult:
-    """``<bwd|observe(fwd)> / <bwd|fwd>`` on the two state rows of ``boundary``."""
-    scenario.check_boundary(boundary)
-    fwd, bwd = scenario.boundary_states
-    denominator = complex(np.vdot(bwd[boundary], fwd[boundary]))
-    numerator = complex(np.vdot(bwd[boundary], observe(fwd[boundary])))
+def _on_arm(basis: BasisDescriptor, arm: str) -> np.ndarray:
+    """Mask of ``arm``'s basis indices; its projector zeroes a row's entries outside it."""
+    mask = np.zeros(basis.dimension, dtype=bool)
+    mask[list(basis.arm_indices(arm))] = True
+    return mask
+
+
+def _result(arm: str | None, boundary: int, bwd_row, observed, fwd_row) -> WeakValueResult:
+    """``<bwd_row|observed> / <bwd_row|fwd_row>``; raises if non-finite or degenerate."""
+    numerator = complex(np.vdot(bwd_row, observed))
+    denominator = complex(np.vdot(bwd_row, fwd_row))
     if not (cmath.isfinite(numerator) and cmath.isfinite(denominator)):
         raise ValueError("non-finite inner product")
     if abs(denominator) <= EPSILON_DENOMINATOR:
@@ -186,17 +191,12 @@ def _ratio(scenario: Scenario, boundary: int, arm: str | None, observe) -> WeakV
     )
 
 
-def _arm_ratio(scenario: Scenario, arm: str, boundary: int) -> WeakValueResult:
-    """Weak value of the projector onto ``arm``: the fwd row with the other rows zeroed."""
-    on_arm = np.zeros(scenario.basis.dimension, dtype=bool)
-    on_arm[list(scenario.basis.arm_indices(arm))] = True
-    return _ratio(scenario, boundary, arm, lambda row: np.where(on_arm, row, 0.0))
-
-
 def weak_value(scenario: Scenario, observable: Operator, boundary: int) -> WeakValueResult:
     """Ratio of the observable's transition amplitude to the post-selection amplitude."""
     _require_same_basis(observable.basis, scenario.basis)
-    return _ratio(scenario, boundary, None, lambda row: observable.matrix @ row)
+    b = scenario.check_boundary(boundary)
+    fwd, bwd = scenario.boundary_states
+    return _result(None, b, bwd[b], observable.matrix @ fwd[b], fwd[b])
 
 
 def arm_weak_value(scenario: Scenario, arm: str, boundary: int | None = None) -> WeakValueResult:
@@ -205,12 +205,19 @@ def arm_weak_value(scenario: Scenario, arm: str, boundary: int | None = None) ->
         boundary = dict(scenario.canonical_slots()).get(arm)
         if boundary is None:
             raise ValueError(f"arm {arm!r} has no canonical coupling slot")
-    return _arm_ratio(scenario, arm, boundary)
+    on_arm = _on_arm(scenario.basis, arm)
+    b = scenario.check_boundary(boundary)
+    fwd, bwd = scenario.boundary_states
+    return _result(arm, b, bwd[b], np.where(on_arm, fwd[b], 0.0), fwd[b])
 
 
 def weak_value_table(scenario: Scenario) -> tuple[WeakValueResult, ...]:
-    """Weak values at every canonical (arm, boundary) slot."""
-    return tuple(_arm_ratio(scenario, arm, boundary) for arm, boundary in scenario.canonical_slots())
+    """Weak values at every canonical (arm, boundary) slot, as ``arm_weak_value`` gives them."""
+    fwd, bwd = scenario.boundary_states
+    return tuple(
+        _result(arm, b, bwd[b], np.where(_on_arm(scenario.basis, arm), fwd[b], 0.0), fwd[b])
+        for arm, b in scenario.canonical_slots()
+    )
 
 
 def couple_pointers(scenario: Scenario, pointers: list[PointerSpec]) -> PointerEnsemble:
@@ -224,16 +231,16 @@ def couple_pointers(scenario: Scenario, pointers: list[PointerSpec]) -> PointerE
     strengths.
     """
     specs = tuple(pointers)
+    boundaries = []
     for spec in specs:
-        scenario.check_boundary(spec.boundary)
+        boundaries.append(scenario.check_boundary(spec.boundary))
         if spec.arm not in scenario.basis.path_modes:
             raise ValueError(f"pointer {spec.name!r} targets unknown arm {spec.arm!r}")
     systems = scenario.preselect.amplitudes[None, :].copy()
     shifts = np.zeros((1, len(specs)))
     for boundary in range(scenario.n_boundaries):
-        for k in [k for k, spec in enumerate(specs) if spec.boundary == boundary]:
-            on_arm = np.zeros(systems.shape[1], dtype=bool)
-            on_arm[list(scenario.basis.arm_indices(specs[k].arm))] = True
+        for k in [k for k, b in enumerate(boundaries) if b == boundary]:
+            on_arm = _on_arm(scenario.basis, specs[k].arm)
             systems = np.repeat(systems, 2, axis=0)
             systems[0::2, on_arm] = 0.0
             systems[1::2, ~on_arm] = 0.0
@@ -355,7 +362,7 @@ def weak_limit_sweep(
     disturbance_order = _fit_order([f[0] for f in fitted], [f[2] for f in fitted])
     return SweepReport(
         arm=pointer.arm,
-        boundary=pointer.boundary,
+        boundary=analytic.boundary,
         width=pointer.width,
         weak_value=analytic.value,
         p_zero=p_zero,

@@ -213,3 +213,42 @@ def basis_vector(basis, arm: str, pol: str | None = None) -> np.ndarray:
     amps = np.zeros(basis.dimension, dtype=np.complex128)
     amps[basis.index(arm, pol)] = 1.0
     return amps
+
+
+def union_find_continuity(arms, present, adjacency) -> tuple[bool, set, tuple[str, ...]]:
+    """Continuity verdict for a given set of present arms, by union-find.
+
+    Returns ``(continuous, components, gaps)``.  Present arms and the two
+    endpoints are joined along adjacency edges; each group holding an arm
+    is one component ``(sorted arms, touches SOURCE, touches DETECTOR)``.
+    The gaps are the sorted absent arms with an edge to a present arm.
+    """
+    nodes = set(present) | {"SOURCE", "DETECTOR"}
+    parent = {node: node for node in nodes}
+
+    def root(node):
+        while parent[node] != node:
+            node = parent[node]
+        return node
+
+    for a, b in adjacency:
+        if a in nodes and b in nodes:
+            parent[root(a)] = root(b)
+    groups: dict[str, set[str]] = {}
+    for node in nodes:
+        groups.setdefault(root(node), set()).add(node)
+    components = set()
+    for group in groups.values():
+        members = tuple(sorted(group & set(present)))
+        if members:
+            components.add((members, "SOURCE" in group, "DETECTOR" in group))
+    continuous = any(
+        touches_source and touches_detector and set(members) == set(present)
+        for members, touches_source, touches_detector in components
+    )
+    gaps = set()
+    for a, b in adjacency:
+        for x, y in ((a, b), (b, a)):
+            if x in arms and x not in present and y in present:
+                gaps.add(x)
+    return continuous, components, tuple(sorted(gaps))

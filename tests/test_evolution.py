@@ -225,6 +225,13 @@ class TestBoundaryStates:
     def test_built_once_per_scenario(self, fig1):
         assert fig1.boundary_states is fig1.boundary_states
 
+    @pytest.mark.parametrize("boundary", [True, np.int64(2)])
+    def test_bool_and_numpy_integer_boundary_match_int(self, fig1, boundary):
+        for state in (forward_state, backward_state):
+            np.testing.assert_array_equal(
+                state(fig1, boundary).amplitudes, state(fig1, int(boundary)).amplitudes
+            )
+
     @pytest.mark.parametrize("name", ["fig1", "fig2"])
     def test_rows_equal_stagewise_apply_and_adjoint(self, name, request):
         scenario = request.getfixturevalue(name)

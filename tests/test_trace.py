@@ -7,11 +7,14 @@ import pytest
 from weaktrace.scendsl import parse_scenario, serialize_scenario
 from weaktrace.trace import (
     ContinuityVerdict,
+    PresenceMap,
     continuity_check,
     presence_map,
     trace_verdict,
 )
-from weaktrace.weakmeas import DegeneratePostselectionError
+from weaktrace.weakmeas import DegeneratePostselectionError, WeakValueResult, weak_value_table
+
+from oracles import union_find_continuity
 
 
 def relabel(text, mapping):
@@ -35,10 +38,16 @@ class TestPresenceMap:
         assert set(presence.absent_arms()) == {"D", "E"}
 
     def test_flags_match_magnitudes(self, fig1):
-        presence = presence_map(fig1, threshold=1e-9)
-        for entry in presence.entries:
-            assert entry.present == (entry.magnitude > presence.threshold)
-            assert entry.magnitude == pytest.approx(abs(entry.value))
+        table = weak_value_table(fig1)
+        # The second threshold equals |w_B|, where only a strict comparison leaves B absent.
+        for threshold in (1e-9, abs(table[2].value)):
+            presence = presence_map(fig1, threshold)
+            assert presence.weak_values == table
+            present, absent = presence.present_arms(), presence.absent_arms()
+            for result in presence.weak_values:
+                assert (result.arm in present) == (abs(result.value) > presence.threshold)
+                assert (result.arm in absent) != (result.arm in present)
+        assert "B" in absent
 
     def test_single_path_scenario(self):
         text = (
@@ -108,6 +117,28 @@ class TestContinuityCheck:
         presence = presence_map(fig1)
         with pytest.raises(ValueError):
             continuity_check(presence, (("A", "B"),))
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2"])
+    def test_every_presence_subset_matches_union_find(self, name, request):
+        scenario = request.getfixturevalue(name)
+        slots = scenario.canonical_slots()
+        arms = [arm for arm, _ in slots]
+        assert len(arms) == 5
+        for mask in range(2 ** len(arms)):
+            present = {arm for i, arm in enumerate(arms) if mask >> i & 1}
+            table = tuple(
+                WeakValueResult(arm, boundary, complex(arm in present), complex(arm in present), 1)
+                for arm, boundary in slots
+            )
+            verdict = continuity_check(PresenceMap(0.5, table), scenario.adjacency)
+            continuous, components, gaps = union_find_continuity(
+                arms, present, scenario.adjacency
+            )
+            assert verdict.continuous == continuous, present
+            assert {(c.arms, c.touches_source, c.touches_detector)
+                    for c in verdict.components} == components, present
+            assert len(verdict.components) == len(components), present
+            assert verdict.gap_arms == gaps, present
 
     def test_verdict_invariant_under_relabeling(self, fig1, fig2):
         mapping = {"S": "s0", "A": "a0", "B": "b0", "C": "c0", "D": "d0", "E": "e0", "F": "f0"}

@@ -167,12 +167,26 @@ class TestCouplePointers:
             arm_weak_value(fig1, "A", 1.0)
 
     def test_numpy_integer_boundary_matches_int(self, fig1):
-        assert arm_weak_value(fig1, "B", np.int64(2)) == arm_weak_value(fig1, "B", 2)
-        new, old = (
-            postselect_and_readout(couple_pointers(fig1, [pointer]), fig1.postselect)
-            for pointer in (PointerSpec("p", "B", np.int64(2), 0.5), PointerSpec("p", "B", 2, 0.5))
-        )
-        assert new == old
+        """``True`` and numpy integers index one boundary row, as the plain int does."""
+        for arm, boundary in (("B", np.int64(2)), ("A", True), ("D", np.int32(1))):
+            result = arm_weak_value(fig1, arm, boundary)
+            assert result == arm_weak_value(fig1, arm, int(boundary))
+            assert type(result.boundary) is int
+            projector = arm_projector(fig1.basis, arm)
+            result = weak_value(fig1, projector, boundary)
+            assert result == weak_value(fig1, projector, int(boundary))
+            assert type(result.boundary) is int
+            new, old = (
+                postselect_and_readout(couple_pointers(fig1, [pointer]), fig1.postselect)
+                for pointer in (
+                    PointerSpec("p", arm, boundary, 0.5),
+                    PointerSpec("p", arm, int(boundary), 0.5),
+                )
+            )
+            assert new == old
+            report = weak_limit_sweep(fig1, PointerSpec("p", arm, boundary, 0.0), [0.1])
+            assert type(report.boundary) is int
+        assert arm_weak_value(fig1, "A", True).value == pytest.approx(1.0)
 
     def test_nonpositive_width_rejected(self):
         with pytest.raises(ValueError):
