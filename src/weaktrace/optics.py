@@ -10,13 +10,14 @@ Conventions, fixed globally:
   diagonal state (H+V)/sqrt2 and ``a = -pi/4`` to the antidiagonal one.
 
 An element is an :class:`ElementSpec`, which checks everything that does not
-depend on a basis; :func:`check_element` checks that it fits a basis, and
-:func:`apply_element`, the one place an element's matrix is defined,
-left-multiplies the rows of a ``d x n`` array in place, touching only the
-rows of the arms the element names.  Each matrix in
-``evolution.Scenario.stage_matrices`` is the identity with its stage's
-elements applied in turn; :func:`element_operator` applies one element to
-the identity.
+depend on a basis; :func:`check_element` checks that it fits a basis and
+looks up its arms' rows, and :func:`apply_element` acts on those rows of a
+``d x n`` array in place with plain row arithmetic: a beamsplitter combines
+its input rows into its output rows, a waveplate rotates its arm's H/V rows,
+and a phaseshifter or mirror multiplies its arm's rows.  No element matrix
+is built.  Each matrix in ``evolution.Scenario.stage_matrices`` is the
+identity with its stage's elements applied in turn; :func:`element_operator`
+applies one element to the identity.
 """
 
 from __future__ import annotations
@@ -90,12 +91,16 @@ class ElementSpec:
         object.__setattr__(self, "parameters", tuple(map(float, self.parameters)))
 
 
-def check_element(spec: ElementSpec, basis: BasisDescriptor) -> None:
-    """Raise unless every arm of ``spec`` is in ``basis`` and a waveplate has polarization."""
-    for arm in spec.operands:
-        basis.arm_indices(arm)
+def check_element(spec: ElementSpec, basis: BasisDescriptor) -> list[list[int]]:
+    """Row indices of each arm of ``spec`` in ``basis``, in operand order.
+
+    Raises ``UnknownLabelError`` for an arm not in ``basis`` first,
+    then ``ValueError`` for a waveplate on a basis without polarization.
+    """
+    operand_rows = [list(basis.arm_indices(arm)) for arm in spec.operands]
     if spec.kind == "waveplate" and not basis.polarization_enabled:
         raise ValueError("waveplate requires a polarization-enabled basis")
+    return operand_rows
 
 
 def apply_element(spec: ElementSpec, basis: BasisDescriptor, rows: np.ndarray) -> None:
@@ -104,25 +109,22 @@ def apply_element(spec: ElementSpec, basis: BasisDescriptor, rows: np.ndarray) -
     :func:`check_element` runs before the first write, so ``rows`` is
     unchanged when this raises.
     """
-    check_element(spec, basis)
-    arm_rows = {arm: list(basis.arm_indices(arm)) for arm in spec.operands}
+    operand_rows = check_element(spec, basis)
     if spec.kind == "beamsplitter":
-        in1, in2, out1, out2 = spec.operands
-        for a, b in ((in1, out1), (in2, out2)):
-            if a != b:
-                rows[arm_rows[a] + arm_rows[b]] = rows[arm_rows[b] + arm_rows[a]]
+        in1, in2, out1, out2 = operand_rows
+        a, b = rows[in1], rows[in2]
+        for freed, out in ((in1, out1), (in2, out2)):
+            if freed != out:
+                rows[freed] = rows[out]
         c, s = np.cos(spec.parameters[0]), np.sin(spec.parameters[0])
-        mix = np.array([[c, 1j * s], [1j * s, c]], dtype=np.complex128)
-        block = arm_rows[out1] + arm_rows[out2]
-        rows[block] = np.kron(mix, np.eye(basis.pol_dim)) @ rows[block]
-        return
-    block = arm_rows[spec.operands[0]]
-    if spec.kind == "waveplate":
+        rows[out1], rows[out2] = c * a + 1j * s * b, 1j * s * a + c * b
+    elif spec.kind == "waveplate":
+        h, v = operand_rows[0]
         c, s = np.cos(spec.parameters[0]), np.sin(spec.parameters[0])
-        rows[block] = np.array([[c, -s], [s, c]], dtype=np.complex128) @ rows[block]
+        rows[h], rows[v] = c * rows[h] - s * rows[v], s * rows[h] + c * rows[v]
     else:
         phase = spec.parameters[0] if spec.kind == "phaseshifter" else np.pi / 2.0
-        rows[block] *= np.exp(1j * phase)
+        rows[operand_rows[0]] *= np.exp(1j * phase)
 
 
 def element_operator(spec: ElementSpec, basis: BasisDescriptor) -> Operator:

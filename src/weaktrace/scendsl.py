@@ -1,7 +1,9 @@
 """Textual scenario description language: parsing, serialization, validation.
 
-The grammar is line-oriented, one directive per line, with ``#``
-comments::
+The grammar is line-oriented, one directive per line.  A line ends at
+``\\n`` and nowhere else: ``\\r``, form feeds and Unicode line separators
+are whitespace between tokens.  A ``#`` comment runs to the end of its
+line::
 
     modes <label>...                          # path modes, declared first
     polarization on|off
@@ -37,6 +39,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .evolution import DETECTOR, SOURCE, Scenario, Slot, Stage
 from .optics import ElementSpec, check_element
@@ -99,17 +102,16 @@ def _check_label(kind: str, label: str, seen: set[str]) -> Diagnostic | None:
     return None
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     text: str
     line: int
     column: int
 
 
 def _tokenize(text: str) -> list[list[_Token]]:
-    """Token rows for non-empty lines, comments stripped."""
+    """Token rows for non-empty lines, comments stripped; lines end at ``\\n`` only."""
     rows = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         content = raw.split("#", 1)[0]
         tokens = [
             _Token(m.group(0), line_no, m.start() + 1)
@@ -211,43 +213,33 @@ def format_angle(value: float) -> str:
 
 
 def _state_terms(head: _Token, tokens: list[_Token], basis: BasisDescriptor) -> StateVector:
+    """Terms at even positions, ``+`` or ``-`` at odd ones, summed onto ``basis``."""
     if not tokens:
         raise ScenarioParseError(
             f"{head.text} expects at least one amplitude term", head.line, head.column
         )
     amps = [0j] * basis.dimension
-    expect_term = True
-    sign = 1.0
-    for tok in tokens:
-        if not expect_term:
-            if tok.text == "+":
-                sign = 1.0
-            elif tok.text == "-":
-                sign = -1.0
-            else:
+    for position, tok in enumerate(tokens):
+        if position % 2:
+            if tok.text not in ("+", "-"):
                 raise ScenarioParseError(
                     f"expected '+' or '-' between terms, got {tok.text!r}", tok.line, tok.column
                 )
-            expect_term = True
             continue
-        if "@" not in tok.text:
+        amp_text, at, target = tok.text.partition("@")
+        if not at:
             raise ScenarioParseError(
                 f"expected <amplitude>@<mode> term, got {tok.text!r}", tok.line, tok.column
             )
-        amp_text, _, target = tok.text.partition("@")
         mode, _, pol = target.partition(":")
         try:
             amp = parse_amplitude(amp_text)
+            index = basis.index(mode, pol or None)
         except ValueError as exc:
             raise ScenarioParseError(str(exc), tok.line, tok.column) from None
-        try:
-            index = basis.index(mode, pol if pol else None)
-        except ValueError as exc:
-            raise ScenarioParseError(str(exc), tok.line, tok.column) from None
+        sign = -1.0 if position and tokens[position - 1].text == "-" else 1.0
         amps[index] += sign * amp
-        sign = 1.0
-        expect_term = False
-    if expect_term:
+    if len(tokens) % 2 == 0:
         last = tokens[-1]
         raise ScenarioParseError(
             "state declaration ends with a dangling separator", last.line, last.column

@@ -212,12 +212,8 @@ def arm_weak_value(scenario: Scenario, arm: str, boundary: int | None = None) ->
 
 
 def weak_value_table(scenario: Scenario) -> tuple[WeakValueResult, ...]:
-    """Weak values at every canonical (arm, boundary) slot, as ``arm_weak_value`` gives them."""
-    fwd, bwd = scenario.boundary_states
-    return tuple(
-        _result(arm, b, bwd[b], np.where(_on_arm(scenario.basis, arm), fwd[b], 0.0), fwd[b])
-        for arm, b in scenario.canonical_slots()
-    )
+    """``arm_weak_value`` at every canonical (arm, boundary) slot, boundaries checked."""
+    return tuple(arm_weak_value(scenario, arm, b) for arm, b in scenario.canonical_slots())
 
 
 def couple_pointers(scenario: Scenario, pointers: list[PointerSpec]) -> PointerEnsemble:

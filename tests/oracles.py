@@ -79,6 +79,50 @@ def fig2_stage_matrices() -> list[np.ndarray]:
     return [split, inner_split, inner_merge]
 
 
+def element_matrix(
+    path_modes: tuple[str, ...],
+    polarization: bool,
+    kind: str,
+    operands: tuple[str, ...],
+    parameters: tuple[float, ...] = (),
+) -> np.ndarray:
+    """Dense matrix of one optical element, written from the ``ElementSpec`` docstring.
+
+    Arm-major, polarization-minor order.  A beamsplitter is the 2x2 mixer
+    ``[[c, i s], [i s, c]]`` on ``(out1, out2)`` after the label
+    permutation that swaps each input arm with its output arm, both
+    tensored with the polarization identity.  A waveplate is the H/V
+    rotation ``[[c, -s], [s, c]]`` on its arm; a phaseshifter multiplies its
+    arm by ``exp(i angle)`` and a mirror by ``i``.
+    """
+    n, p = len(path_modes), 2 if polarization else 1
+    arm = {label: i for i, label in enumerate(path_modes)}
+    if kind == "beamsplitter":
+        in1, in2, out1, out2 = operands
+        dest = {label: label for label in path_modes}
+        for a, b in ((in1, out1), (in2, out2)):
+            dest[a], dest[b] = b, a
+        permutation = np.zeros((n, n))
+        for label in path_modes:
+            permutation[arm[dest[label]], arm[label]] = 1.0
+        c, s = np.cos(parameters[0]), np.sin(parameters[0])
+        mixer = np.eye(n, dtype=np.complex128)
+        o1, o2 = arm[out1], arm[out2]
+        mixer[o1, o1], mixer[o1, o2], mixer[o2, o1], mixer[o2, o2] = c, 1j * s, 1j * s, c
+        return np.kron(mixer @ permutation, np.eye(p))
+    mat = np.eye(n * p, dtype=np.complex128)
+    rows = [arm[operands[0]] * p + pol for pol in range(p)]
+    if kind == "waveplate":
+        c, s = np.cos(parameters[0]), np.sin(parameters[0])
+        h, v = rows
+        mat[h, h], mat[h, v], mat[v, h], mat[v, v] = c, -s, s, c
+    else:
+        phase = np.exp(1j * parameters[0]) if kind == "phaseshifter" else 1j
+        for row in rows:
+            mat[row, row] = phase
+    return mat
+
+
 def fig1_states() -> tuple[np.ndarray, np.ndarray]:
     pre = np.zeros(7, dtype=np.complex128)
     pre[ARMS.index("S")] = 1.0

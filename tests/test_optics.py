@@ -10,7 +10,7 @@ from weaktrace.optics import (
 )
 from weaktrace.qstate import ATOL, BasisDescriptor, UnknownLabelError, is_unitary_matrix
 
-from oracles import basis_vector, fig1_stage_matrices, fig2_stage_matrices
+from oracles import basis_vector, element_matrix, fig1_stage_matrices, fig2_stage_matrices
 
 BASIS = BasisDescriptor(("S", "A", "B", "C", "D", "E", "F"))
 POL_BASIS = BasisDescriptor(("S", "A", "B", "C", "D", "E", "F"), polarization_enabled=True)
@@ -260,10 +260,15 @@ def _random_block(basis):
 class TestApplyElement:
     @pytest.mark.parametrize("basis, spec", _ROW_CASES)
     def test_rows_match_operator_product(self, basis, spec):
+        """Against the longhand matrix of ``oracles.element_matrix``, not ``element_operator``."""
+        matrix = element_matrix(
+            basis.path_modes, basis.polarization_enabled, spec.kind, spec.operands, spec.parameters
+        )
         block = _random_block(basis)
-        expected = element_operator(spec, basis).matrix @ block
+        expected = matrix @ block
         apply_element(spec, basis, block)
         np.testing.assert_allclose(block, expected, rtol=0, atol=ATOL)
+        np.testing.assert_allclose(element_operator(spec, basis).matrix, matrix, rtol=0, atol=ATOL)
 
     @pytest.mark.parametrize(
         "kind, operands, error",
@@ -272,12 +277,17 @@ class TestApplyElement:
             ("beamsplitter", ("A", "B", "C", "Z"), UnknownLabelError),
             ("beamsplitter", ("A", "B", "B", "A"), ValueError),
             ("waveplate", ("B",), ValueError),
+            ("waveplate", ("Z",), UnknownLabelError),
         ],
-        ids=["unknown-arm", "unknown-output", "overlapping-routing", "waveplate-no-pol"],
+        ids=[
+            "unknown-arm", "unknown-output", "overlapping-routing", "waveplate-no-pol",
+            "waveplate-unknown-arm-no-pol",
+        ],
     )
     def test_rejected_spec_leaves_rows_untouched(self, kind, operands, error):
         """The spec is built inside each check: an overlapping routing already
-        fails at ElementSpec, the basis checks at check_element."""
+        fails at ElementSpec, the basis checks at check_element, arms before
+        the waveplate's polarization."""
         with pytest.raises(error):
             check_element(ElementSpec(kind, operands, (0.1,)), BASIS)
         block = _random_block(BASIS)

@@ -304,3 +304,28 @@ def test_parse_error_points_at_token(text, line, column):
     with pytest.raises(ScenarioParseError) as info:
         parse_scenario(text)
     assert (info.value.line, info.value.column) == (line, column)
+
+
+_PLAIN = "modes A B\npreselect 1@A\npostselect 1@A\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "# note\u2028polarization on\n" + _PLAIN,
+        "# note\x85stage sneaky\n" + _PLAIN,
+        ("# note\u2029slot A\n" + _PLAIN).replace("\n", "\r\n"),
+        "# note\x0b\x0c\x1c\x1d\x1epolarization on\n" + _PLAIN,
+    ],
+    ids=["u2028", "u0085", "crlf-u2029", "ascii-separators"],
+)
+def test_comment_runs_to_newline_only(text):
+    """Only ``\\n`` ends a line, so a comment swallows text after any other line boundary."""
+    assert serialize_scenario(parse_scenario(text)) == serialize_scenario(parse_scenario(_PLAIN))
+
+
+@pytest.mark.parametrize("blank", ["\x0c", "\u2028", " \x0b\x85 "])
+def test_whitespace_only_line_is_one_line(blank):
+    with pytest.raises(ScenarioParseError) as info:
+        parse_scenario(f"modes A B\n{blank}\nteleport A\n")
+    assert (info.value.line, info.value.column) == (3, 1)

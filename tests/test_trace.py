@@ -1,9 +1,11 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from weaktrace.evolution import BoundaryError
 from weaktrace.scendsl import parse_scenario, serialize_scenario
 from weaktrace.trace import (
     ContinuityVerdict,
@@ -12,7 +14,12 @@ from weaktrace.trace import (
     presence_map,
     trace_verdict,
 )
-from weaktrace.weakmeas import DegeneratePostselectionError, WeakValueResult, weak_value_table
+from weaktrace.weakmeas import (
+    DegeneratePostselectionError,
+    WeakValueResult,
+    arm_weak_value,
+    weak_value_table,
+)
 
 from oracles import union_find_continuity
 
@@ -160,3 +167,28 @@ def test_degenerate_postselection_rejected():
     scenario = parse_scenario("modes A B\npreselect 1@A\npostselect 1@B\n")
     with pytest.raises(DegeneratePostselectionError):
         trace_verdict(scenario)
+
+
+def _moved_d_slot(scenario, boundary):
+    """``scenario`` built through the API with arm D's coupling slot at ``boundary``."""
+    slots = [
+        replace(slot, boundary=boundary) if slot.name == "D" else slot
+        for slot in scenario.coupling_slots
+    ]
+    return replace(scenario, coupling_slots=slots)
+
+
+@pytest.mark.parametrize("boundary", [-1, 9])
+def test_slot_boundary_out_of_range_raises(fig1, boundary):
+    """The table checks each slot's boundary: -1 would read the final row, 9 no row."""
+    scenario = _moved_d_slot(fig1, boundary)
+    for analysis in (weak_value_table, presence_map, trace_verdict):
+        with pytest.raises(BoundaryError):
+            analysis(scenario)
+
+
+def test_bool_slot_boundary_reads_one_row(fig1):
+    """``True`` is boundary 1, not a mask summing every boundary row."""
+    (result,) = [r for r in weak_value_table(_moved_d_slot(fig1, True)) if r.arm == "D"]
+    assert result == arm_weak_value(fig1, "D", 1)
+    assert type(result.boundary) is int and result.boundary == 1
