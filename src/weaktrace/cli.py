@@ -10,6 +10,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -76,7 +77,7 @@ def _load_scenario(arg: str):
     if arg in BUILTIN_TEXTS:
         return builtin_scenario(arg)
     try:
-        with open(arg, "r", encoding="utf-8") as handle:
+        with open(arg, "r", encoding="utf-8", newline="") as handle:
             text = handle.read()
     except OSError as exc:
         raise OSError(f"cannot read scenario file {arg!r}: {exc.strerror or exc}") from None
@@ -198,7 +199,9 @@ def _g_list(text: str) -> list[float]:
     return values
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; each ``parse_args`` returns a fresh namespace."""
     parser = _Parser(prog="weaktrace", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
 

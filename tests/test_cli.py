@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from weaktrace.cli import execute
+from weaktrace.cli import build_parser, execute
+from weaktrace.scendsl import builtin_scenario, serialize_scenario
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -89,3 +90,52 @@ def test_degenerate_postselection_exits_2(command, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "weak value undefined" in captured.err
+
+
+def _run(argv, capsys):
+    code = execute(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_reuse_carries_nothing_between_calls(capsys):
+    sweep = ["sweep", "fig1", "--arm", "B", "--g", "0.5,0.1,0.01", "--format", "json"]
+    sequence = [
+        (["sweep", "fig1", "--g", "0.1"], None),
+        (["--help"], None),
+        (["trace", "fig2", "--threshold", "0.4", "--format", "json"], "fig2-trace-threshold-0.4.json"),
+        (["trace", "fig2", "--format", "json"], "fig2-trace.json"),
+        (sweep + ["--boundary", "1"], None),
+        (sweep, "fig1-sweep-B.json"),
+    ]
+    lone = []
+    for argv, _ in sequence:
+        build_parser.cache_clear()
+        lone.append(_run(argv, capsys))
+    build_parser.cache_clear()
+    for (argv, golden), expected in zip(sequence, lone):
+        result = _run(argv, capsys)
+        assert result == expected, argv
+        if golden is not None:
+            assert result == (0, (GOLDEN / golden).read_text(encoding="utf-8"), "")
+    assert build_parser.cache_info().misses == 1
+    assert lone[0][0] == 1 and lone[0][2].startswith("usage error:")
+    assert lone[1][0] == 0 and lone[1][1].startswith("usage: weaktrace")
+    assert '"boundary": 1,' in lone[4][1]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "modes A B\n# note\rpolarization on\npreselect 1@A\npostselect 1@A\n",
+        serialize_scenario(builtin_scenario("fig1")).replace("\n", "\r\n"),
+    ],
+    ids=["lone-cr-in-comment", "fig1-crlf"],
+)
+def test_file_and_stdin_give_one_answer(text, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "scenario.txt"
+    path.write_bytes(text.encode("utf-8"))
+    code, out, err = _run(["validate", str(path)], capsys)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert (code, out.replace(str(path), "<stdin>"), err) == _run(["validate", "-"], capsys)
+    assert code == 0
