@@ -4,7 +4,10 @@ Exit status: 0 on success, 1 on usage errors, 2 on scenario errors (missing
 or malformed files, validation failures, degenerate post-selection).
 Output is UTF-8 on stdout; ``--format json`` emits a schema-stable document
 with floats printed at 15 significant digits so identical inputs produce
-byte-identical output.
+byte-identical output.  A sweep's fitted orders are numbers, or the string
+``"exact"`` (every error below the numerical floor, an ``inf`` order) or
+``"not fittable"`` (a single data point, a ``nan`` order), the words the
+table prints.
 """
 
 from __future__ import annotations
@@ -69,6 +72,15 @@ def _json_ready(obj):
     if isinstance(obj, (list, tuple)):
         return [_json_ready(v) for v in obj]
     return obj
+
+
+def _fitted_order(order: float) -> float | str:
+    """A fitted order for JSON, which has no ``inf`` or ``nan`` to tell the two cases apart."""
+    if math.isinf(order):
+        return "exact"
+    if math.isnan(order):
+        return "not fittable"
+    return order
 
 
 def _load_scenario(arg: str):
@@ -153,8 +165,8 @@ def _cmd_sweep(ns, scenario, ident: dict) -> tuple[dict, list[str]]:
                     }
                     for e in report.entries
                 ],
-                "fitted_shift_order": report.fitted_shift_order,
-                "fitted_disturbance_order": report.fitted_disturbance_order,
+                "fitted_shift_order": _fitted_order(report.fitted_shift_order),
+                "fitted_disturbance_order": _fitted_order(report.fitted_disturbance_order),
             }
         ],
     }

@@ -4,10 +4,13 @@ The ``.json`` files under ``tests/golden`` were written by the CLI before
 the scenario evolution was compiled into boundary-state arrays, the
 ``.txt`` files (the default table output, and ``builtin``'s canonical
 text) before ``StateVector`` and ``Operator`` became plain records; any
-change to a printed digit shows up here as a byte difference.
+change to a printed digit shows up here as a byte difference.  The one
+later edit is ``fitted_shift_order`` in ``fig1-sweep-B.json``, from
+``null`` to ``"exact"`` when JSON began to name non-numeric fitted orders.
 """
 
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -90,6 +93,18 @@ def test_degenerate_postselection_exits_2(command, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "weak value undefined" in captured.err
+
+
+def test_json_names_exact_and_unfittable_orders(capsys):
+    argv = ["sweep", "fig1", "--arm", "B", "--g", "0.1,0", "--format", "json"]
+    assert execute(argv) == 0
+    (sweep,) = json.loads(capsys.readouterr().out)["sweeps"]
+    assert sweep["fitted_shift_order"] == "exact"
+    assert sweep["fitted_disturbance_order"] == "not fittable"
+    execute(argv[:-2])
+    table = capsys.readouterr().out
+    assert "fitted shift order: exact" in table
+    assert "fitted disturbance order: not fittable" in table
 
 
 def _run(argv, capsys):
