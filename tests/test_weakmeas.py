@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,12 @@ from oracles import (
 )
 
 SQ2 = np.sqrt(2.0)
+
+#: Multi-pointer placements with their readouts as ``repr`` floats, written
+#: by the one-pointer-at-a-time readout that summed each L x L block alone.
+PINNED_READOUTS = json.loads(
+    (Path(__file__).parent / "golden" / "multi-pointer-readouts.json").read_text(encoding="utf-8")
+)
 
 FIG1_WEAK_VALUES = {"A": 1.0, "D": 0.0, "B": 0.5, "C": -0.5, "E": 0.0}
 FIG2_WEAK_VALUES = {"A": 1.0, "D": 0.0, "B": 1 / (2 * SQ2), "C": -1 / (2 * SQ2), "E": 0.0}
@@ -314,7 +322,50 @@ class TestReadout:
             assert readout.mean_momentum_shift == pytest.approx(mean_p[k], abs=1e-12)
 
 
+    @pytest.mark.parametrize("case", PINNED_READOUTS, ids=[c["id"] for c in PINNED_READOUTS])
+    def test_readouts_equal_pinned_floats(self, case, request):
+        # Bit for bit: a reordered sum moves the last digit, which the
+        # 1e-12 oracle comparison above would not see.
+        scenario = request.getfixturevalue(case["scenario"])
+        specs = [PointerSpec(f"p{k}", *p) for k, p in enumerate(case["pointers"])]
+        readouts = postselect_and_readout(couple_pointers(scenario, specs), scenario.postselect)
+        assert [r.postselection_probability for r in readouts] == [case["probability"]] * len(specs)
+        assert [r.mean_position_shift for r in readouts] == case["position"]
+        assert [r.mean_momentum_shift for r in readouts] == case["momentum"]
+
+
 class TestWeakLimitSweep:
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("name", ["fig1", "fig2"])
+    def test_entries_equal_one_coupling_per_strength(self, name, sigma, request):
+        scenario = request.getfixturevalue(name)
+        gs = [0.5, 0.1, 0.01, 0.0]
+        for arm in scenario.basis.path_modes:
+            for boundary in range(scenario.n_boundaries):
+                pointer = PointerSpec("p", arm, boundary, 0.0, sigma)
+                report = weak_limit_sweep(scenario, pointer, gs)
+                for g, entry in zip(gs, report.entries, strict=True):
+                    spec = PointerSpec("p", arm, boundary, g, sigma)
+                    ensemble = couple_pointers(scenario, [spec])
+                    (readout,) = postselect_and_readout(ensemble, scenario.postselect)
+                    assert entry.g == g
+                    assert entry.mean_position_shift == readout.mean_position_shift
+                    assert entry.postselection_probability == readout.postselection_probability
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2"])
+    def test_undefined_readout_raised_on_both_paths(self, name, request):
+        # sigma**2 is subnormal, so the momentum factor 1 / (4 sigma**2)
+        # overflows and every slot's mean is 0 * inf.
+        scenario = request.getfixturevalue(name)
+        for arm in scenario.basis.path_modes:
+            for boundary in range(scenario.n_boundaries):
+                pointer = PointerSpec("p", arm, boundary, 0.0, 1e-160)
+                with pytest.raises(UndefinedReadoutError, match="not finite"):
+                    weak_limit_sweep(scenario, pointer, [0.5, 0.0])
+                ensemble = couple_pointers(scenario, [PointerSpec("p", arm, boundary, 0.5, 1e-160)])
+                with pytest.raises(UndefinedReadoutError, match="not finite"):
+                    postselect_and_readout(ensemble, scenario.postselect)
+
     def test_inner_arm_converges_to_half(self, fig1):
         report = weak_limit_sweep(
             fig1, PointerSpec("pB", "B", 2, 0.0), [0.2, 0.1, 0.05]
