@@ -24,6 +24,13 @@ L**2, not B**2 (``fig1`` with a pointer on each canonical slot: L=3, B=32).
 There is no perturbative truncation anywhere: weak-limit behavior is
 observed by sweeping ``g`` downward, not assumed.
 
+Neither the system rows nor which pointers each row carries depend on any
+strength; a strength enters only the shifts.  So the rows are coupled once
+into the rows plus a B x N hit mask, and one readout kernel reads a stack
+of G shift sets (G x L x N) against the same live weights.  A coupling
+reads one set; a sweep couples its pointer once and reads every strength
+in one kernel call.
+
 In the weak limit the post-selected position shift approaches
 ``g * Re(weak value)``; the momentum shift approaches
 ``2 g Var(p) Im(weak value)`` with ``Var(p) = 1/(4 sigma^2)``.
@@ -216,37 +223,112 @@ def weak_value_table(scenario: Scenario) -> tuple[WeakValueResult, ...]:
     return tuple(arm_weak_value(scenario, arm, b) for arm, b in scenario.canonical_slots())
 
 
-def couple_pointers(scenario: Scenario, pointers: list[PointerSpec]) -> PointerEnsemble:
-    """Evolve the preselection with exact conditional-translation couplings.
+def _split_rows(
+    scenario: Scenario, specs: tuple[PointerSpec, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The coupled rows (B x d) and which pointers each row carries (B x N, bool).
 
     Pointers are applied at their stage boundaries in boundary order (the
     given order breaks ties at a shared boundary; projectors on distinct
     arms commute, so ties are harmless).  Each coupling splits every row
-    into its complement (shifts kept) and its projected part (pointer
-    shifted by the strength); stages act on all rows at once.  Exact at all
-    strengths.
+    into its complement and its projected part, which carries the pointer;
+    stages act on all rows at once.  Neither array depends on a strength.
     """
-    specs = tuple(pointers)
     boundaries = []
     for spec in specs:
         boundaries.append(scenario.check_boundary(spec.boundary))
         if spec.arm not in scenario.basis.path_modes:
             raise ValueError(f"pointer {spec.name!r} targets unknown arm {spec.arm!r}")
     systems = scenario.preselect.amplitudes[None, :].copy()
-    shifts = np.zeros((1, len(specs)))
+    hits = np.zeros((1, len(specs)), dtype=bool)
     for boundary in range(scenario.n_boundaries):
         for k in [k for k, b in enumerate(boundaries) if b == boundary]:
             on_arm = _on_arm(scenario.basis, specs[k].arm)
             systems = np.repeat(systems, 2, axis=0)
             systems[0::2, on_arm] = 0.0
             systems[1::2, ~on_arm] = 0.0
-            shifts = np.repeat(shifts, 2, axis=0)
-            shifts[1::2, k] += specs[k].strength
+            hits = np.repeat(hits, 2, axis=0)
+            hits[1::2, k] = True
         if boundary < len(scenario.stages):
             systems = systems @ scenario.stage_matrices[boundary].T
+    return systems, hits
+
+
+def _shifts(hits: np.ndarray, strengths: np.ndarray) -> np.ndarray:
+    """Each row's shift per pointer: ``0.0 + strength`` where it carries the pointer, else 0."""
+    return np.where(hits, 0.0 + strengths, 0.0)
+
+
+def couple_pointers(scenario: Scenario, pointers: list[PointerSpec]) -> PointerEnsemble:
+    """Evolve the preselection with exact conditional-translation couplings.
+
+    Each coupling splits every row into its complement (shifts kept) and its
+    projected part (pointer shifted by the strength), at the pointer's
+    boundary; see ``_split_rows`` for the order.  Exact at all strengths.
+    """
+    specs = tuple(pointers)
+    systems, hits = _split_rows(scenario, specs)
+    shifts = _shifts(hits, np.array([spec.strength for spec in specs], dtype=np.float64))
     systems.setflags(write=False)
     shifts.setflags(write=False)
     return PointerEnsemble(specs=specs, basis=scenario.basis, systems=systems, shifts=shifts)
+
+
+def _live_weights(systems: np.ndarray, postselect: StateVector) -> tuple[np.ndarray, np.ndarray]:
+    """The post-selected weights of the rows whose weight is not exactly 0, and their mask."""
+    weights = systems @ postselect.amplitudes.conj()
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("non-finite inner product")
+    live = weights != 0.0
+    return weights[live], live
+
+
+def _read_shift_sets(
+    weights: np.ndarray, shifts: np.ndarray, widths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Post-selection probability (G) and mean position and momentum (G x N) per shift set.
+
+    ``weights`` are the L live rows' post-selected weights and ``shifts``
+    holds G shift sets of those rows (G x L x N).  The closed-form Gaussian
+    matrix elements include all cross-pointer overlap factors.  Every L x L
+    block is summed on its own over contiguous memory (``np.add.reduce``
+    with ``axis=None`` is what ``np.sum`` calls), as a lone readout sums it:
+    a batched reduction (over axes (1, 2), or a reshaped last axis) adds in
+    another order once L >= 3 and moves the last digit.
+    Nothing is checked here; see ``_check_readout``.
+    """
+    sets, live, n = shifts.shape
+    # A width whose square underflows gives 0/0 here, and a vanishing
+    # probability divides by 0; the readout check raises for both.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        diff = shifts[:, :, None, :] - shifts[:, None, :, :]
+        log_overlap = np.add.reduce(diff**2 / (-8.0 * widths**2), axis=-1)
+        cross = (np.conj(weights)[:, None] * weights[None, :] * np.exp(log_overlap))[:, None]
+        per_pointer = shifts.transpose(0, 2, 1)[..., None]
+        centers = (per_pointer + per_pointer.transpose(0, 1, 3, 2)) / 2.0
+        # A scalar's w**2 (libm pow) and an array's (w*w) differ in the last
+        # bit for about 1 width in 1,000; the momentum factor takes the
+        # scalar one, the overlap exponent the array one.
+        quarter = np.array([4.0 * w**2 for w in widths])[:, None, None]
+        momenta = 1j * diff.transpose(0, 3, 1, 2) / quarter
+        terms = np.concatenate((cross, cross * centers, cross * momenta), axis=1)
+        blocks = terms.reshape(sets * (1 + 2 * n), live, live)
+        sums = np.array([np.add.reduce(block, axis=None) for block in blocks]).real
+        sums = sums.reshape(sets, 1 + 2 * n)
+        probability = sums[:, 0]
+        means = sums[:, 1:] / probability[:, None]
+    return probability, means[:, :n], means[:, n:]
+
+
+def _check_readout(probability: float, mean_x: list, mean_p: list, names: list) -> None:
+    """Raise ``UndefinedReadoutError`` unless the probability and every mean are usable."""
+    if probability <= 1e-30:
+        raise UndefinedReadoutError(
+            f"post-selection probability {probability:.3e} vanishes; readout undefined"
+        )
+    for name, x, p in zip(names, mean_x, mean_p):
+        if not (math.isfinite(x) and math.isfinite(p)):  # NaN probability too
+            raise UndefinedReadoutError(f"pointer {name!r} mean is not finite; readout undefined")
 
 
 def postselect_and_readout(
@@ -261,42 +343,22 @@ def postselect_and_readout(
     coupled strengths.
     """
     _require_same_basis(postselect.basis, ensemble.basis)
-    weights = ensemble.systems @ postselect.amplitudes.conj()
-    if not np.all(np.isfinite(weights)):
-        raise ValueError("non-finite inner product")
-    live = weights != 0.0
-    weights, shifts = weights[live], ensemble.shifts[live]
+    weights, live = _live_weights(ensemble.systems, postselect)
     widths = np.array([spec.width for spec in ensemble.specs], dtype=np.float64)
-    # A width whose square underflows gives 0/0 here; the finiteness check raises.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        diff = shifts[:, None, :] - shifts[None, :, :]
-        log_overlap = -np.sum(diff**2 / (8.0 * widths**2), axis=-1)
-        cross = np.conj(weights)[:, None] * weights[None, :] * np.exp(log_overlap)
-        probability = float(np.sum(cross).real)
-        if probability <= 1e-30:
-            raise UndefinedReadoutError(
-                f"post-selection probability {probability:.3e} vanishes; readout undefined"
-            )
-        readouts = []
-        for k, spec in enumerate(ensemble.specs):
-            centers = (shifts[:, None, k] + shifts[None, :, k]) / 2.0
-            mean_x = float(np.sum(cross * centers).real) / probability
-            momenta = 1j * diff[:, :, k] / (4.0 * widths[k] ** 2)
-            mean_p = float(np.sum(cross * momenta).real) / probability
-            if not (math.isfinite(mean_x) and math.isfinite(mean_p)):  # NaN probability too
-                raise UndefinedReadoutError(
-                    f"pointer {spec.name!r} mean is not finite; readout undefined"
-                )
-            readouts.append(
-                PointerReadout(
-                    name=spec.name,
-                    arm=spec.arm,
-                    mean_position_shift=mean_x,
-                    mean_momentum_shift=mean_p,
-                    postselection_probability=probability,
-                )
-            )
-    return tuple(readouts)
+    (probability,), (mean_x,), (mean_p,) = (
+        a.tolist() for a in _read_shift_sets(weights, ensemble.shifts[live][None], widths)
+    )
+    _check_readout(probability, mean_x, mean_p, [spec.name for spec in ensemble.specs])
+    return tuple(
+        PointerReadout(
+            name=spec.name,
+            arm=spec.arm,
+            mean_position_shift=x,
+            mean_momentum_shift=p,
+            postselection_probability=probability,
+        )
+        for spec, x, p in zip(ensemble.specs, mean_x, mean_p)
+    )
 
 
 def _fit_order(xs: list[float], errors: list[float]) -> float:
@@ -308,6 +370,8 @@ def _fit_order(xs: list[float], errors: list[float]) -> float:
         return math.nan
     lx = np.log([p[0] for p in points])
     le = np.log([p[1] for p in points])
+    # A closed-form least-squares slope rounds differently from polyfit's
+    # lstsq and moves the printed 15th digit, so polyfit stays.
     slope = np.polyfit(lx, le, 1)[0]
     return float(slope)
 
@@ -320,6 +384,10 @@ def weak_limit_sweep(
     ``g_values`` must be strictly descending and nonnegative, with at least
     one positive entry to fit; a final zero records the uncoupled baseline
     (shift exactly 0, probability P(0)) and is excluded from the fits.
+    ``pointer.strength`` is not used.  The rows are coupled once, since no
+    row depends on the strength, and one readout kernel call reads the G
+    strengths as G shift sets; each entry equals a separate
+    ``couple_pointers`` and ``postselect_and_readout`` at its strength.
     """
     gs = [float(g) for g in g_values]
     if any(g < 0.0 for g in gs):
@@ -330,13 +398,16 @@ def weak_limit_sweep(
         raise ValueError("coupling strengths need at least one positive value")
     analytic = arm_weak_value(scenario, pointer.arm, pointer.boundary)
     p_zero = abs(analytic.denominator) ** 2
+    systems, hits = _split_rows(scenario, (pointer,))
+    weights, live = _live_weights(systems, scenario.postselect)
+    shifts = _shifts(hits[live][None], np.array(gs)[:, None, None])
+    readouts = _read_shift_sets(weights, shifts, np.array([pointer.width]))
     entries = []
-    for g in gs:
-        spec = PointerSpec(pointer.name, pointer.arm, pointer.boundary, g, pointer.width)
-        ensemble = couple_pointers(scenario, [spec])
-        (readout,) = postselect_and_readout(ensemble, scenario.postselect)
-        shift = readout.mean_position_shift
-        probability = readout.postselection_probability
+    for g, probability, mean_x, mean_p in zip(gs, *(a.tolist() for a in readouts)):
+        # Each strength is checked where a lone coupling at it would be.
+        PointerSpec(pointer.name, pointer.arm, pointer.boundary, g, pointer.width)
+        _check_readout(probability, mean_x, mean_p, [pointer.name])
+        (shift,) = mean_x
         if g > 0.0:
             over_g = shift / g
             deviation = abs(over_g - analytic.value.real)
