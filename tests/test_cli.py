@@ -7,6 +7,8 @@ text) before ``StateVector`` and ``Operator`` became plain records; any
 change to a printed digit shows up here as a byte difference.  The one
 later edit is ``fitted_shift_order`` in ``fig1-sweep-B.json``, from
 ``null`` to ``"exact"`` when JSON began to name non-numeric fitted orders.
+The ``sweep-D`` and ``sweep-E`` files were written before a sweep read all
+its strengths in one readout call.
 """
 
 import io

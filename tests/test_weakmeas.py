@@ -34,7 +34,7 @@ from oracles import (
 SQ2 = np.sqrt(2.0)
 
 #: Multi-pointer placements with their readouts as ``repr`` floats, written
-#: by the one-pointer-at-a-time readout that summed each L x L block alone.
+#: by the readout that looped over pointers, before the batched kernel.
 PINNED_READOUTS = json.loads(
     (Path(__file__).parent / "golden" / "multi-pointer-readouts.json").read_text(encoding="utf-8")
 )
@@ -320,7 +320,6 @@ class TestReadout:
             assert readout.postselection_probability == pytest.approx(probability, abs=1e-12)
             assert readout.mean_position_shift == pytest.approx(mean_x[k], abs=1e-12)
             assert readout.mean_momentum_shift == pytest.approx(mean_p[k], abs=1e-12)
-
 
     @pytest.mark.parametrize("case", PINNED_READOUTS, ids=[c["id"] for c in PINNED_READOUTS])
     def test_readouts_equal_pinned_floats(self, case, request):
