@@ -91,13 +91,13 @@ class ElementSpec:
         object.__setattr__(self, "parameters", tuple(map(float, self.parameters)))
 
 
-def check_element(spec: ElementSpec, basis: BasisDescriptor) -> list[list[int]]:
-    """Row indices of each arm of ``spec`` in ``basis``, in operand order.
+def check_element(spec: ElementSpec, basis: BasisDescriptor) -> list[slice]:
+    """Row slice of each arm of ``spec`` in ``basis``, in operand order.
 
     Raises ``UnknownLabelError`` for an arm not in ``basis`` first,
     then ``ValueError`` for a waveplate on a basis without polarization.
     """
-    operand_rows = [list(basis.arm_indices(arm)) for arm in spec.operands]
+    operand_rows = [slice(r.start, r.stop) for r in map(basis.arm_indices, spec.operands)]
     if spec.kind == "waveplate" and not basis.polarization_enabled:
         raise ValueError("waveplate requires a polarization-enabled basis")
     return operand_rows
@@ -112,14 +112,16 @@ def apply_element(spec: ElementSpec, basis: BasisDescriptor, rows: np.ndarray) -
     operand_rows = check_element(spec, basis)
     if spec.kind == "beamsplitter":
         in1, in2, out1, out2 = operand_rows
-        a, b = rows[in1], rows[in2]
+        # Slices are views, and the swap below overwrites the input rows.
+        a, b = rows[in1].copy(), rows[in2].copy()
         for freed, out in ((in1, out1), (in2, out2)):
             if freed != out:
                 rows[freed] = rows[out]
         c, s = np.cos(spec.parameters[0]), np.sin(spec.parameters[0])
         rows[out1], rows[out2] = c * a + 1j * s * b, 1j * s * a + c * b
     elif spec.kind == "waveplate":
-        h, v = operand_rows[0]
+        h = operand_rows[0].start
+        v = h + 1
         c, s = np.cos(spec.parameters[0]), np.sin(spec.parameters[0])
         rows[h], rows[v] = c * rows[h] - s * rows[v], s * rows[h] + c * rows[v]
     else:

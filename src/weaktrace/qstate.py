@@ -79,13 +79,13 @@ class BasisDescriptor:
             raise UnknownLabelError(f"unknown polarization {pol!r}")
         return arm_i * 2 + POLARIZATION_AXES.index(pol)
 
-    def arm_indices(self, arm: str) -> tuple[int, ...]:
+    def arm_indices(self, arm: str) -> range:
         """All flat indices belonging to one arm (1 or 2 entries)."""
         if arm not in self.path_modes:
             raise UnknownLabelError(f"unknown arm {arm!r}")
         arm_i = self.path_modes.index(arm)
         p = self.pol_dim
-        return tuple(range(arm_i * p, arm_i * p + p))
+        return range(arm_i * p, arm_i * p + p)
 
     def labels(self) -> Iterator[tuple[str, str | None]]:
         """Yield ``(arm, pol)`` pairs in basis order (pol is None when disabled)."""

@@ -2,8 +2,9 @@
 
 The grammar is line-oriented, one directive per line.  A line ends at
 ``\\n`` and nowhere else: ``\\r``, form feeds and Unicode line separators
-are whitespace between tokens.  A ``#`` comment runs to the end of its
-line::
+are whitespace between tokens.  A line's words are split as ``str.split()``
+reads whitespace, and a word's column is computed only to report an error.
+A ``#`` comment runs to the end of its line::
 
     modes <label>...                          # path modes, declared first
     polarization on|off
@@ -39,7 +40,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NoReturn
 
 from .evolution import DETECTOR, SOURCE, Scenario, Slot, Stage
 from .optics import ElementSpec, check_element
@@ -102,24 +103,32 @@ def _check_label(kind: str, label: str, seen: set[str]) -> Diagnostic | None:
     return None
 
 
-class _Token(NamedTuple):
-    text: str
-    line: int
-    column: int
+#: One non-empty line: its number, its text before ``#``, and its words.
+_Row = tuple[int, str, list[str]]
 
 
-def _tokenize(text: str) -> list[list[_Token]]:
-    """Token rows for non-empty lines, comments stripped; lines end at ``\\n`` only."""
+def _tokenize(text: str) -> list[_Row]:
+    """Word rows for non-empty lines, comments stripped; lines end at ``\\n`` only."""
     rows = []
     for line_no, raw in enumerate(text.split("\n"), start=1):
-        content = raw.split("#", 1)[0]
-        tokens = [
-            _Token(m.group(0), line_no, m.start() + 1)
-            for m in re.finditer(r"\S+", content)
-        ]
-        if tokens:
-            rows.append(tokens)
+        content = raw.partition("#")[0]
+        words = content.split()
+        if words:
+            rows.append((line_no, content, words))
     return rows
+
+
+def _fail(message: str, row: _Row, k: int = 0) -> NoReturn:
+    """Raise at word ``k`` of ``row``; its column is found here, and only here."""
+    line, content, words = row
+    end = 0
+    for word in words[: k + 1]:
+        # Only whitespace lies between the previous word's end and this word,
+        # so the first match from there is this word, not a repeat of it or
+        # a copy inside an earlier word.
+        start = content.find(word, end)
+        end = start + len(word)
+    raise ScenarioParseError(message, line, start + 1) from None
 
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+/\d+$")
@@ -198,63 +207,85 @@ def format_amplitude(value: complex) -> str:
     return f"{re_part!r}{sign}{abs(im_part)!r}i"
 
 
+def _pi_token(value: float, negative: bool, k: int, n: int) -> str | None:
+    """The literal ``±k pi/n`` if it reads back as exactly ``value``, else None."""
+    token = f"{'-' if negative else ''}{'' if k == 1 else k}pi{'' if n == 1 else f'/{n}'}"
+    return token if parse_angle(token) == value else None
+
+
 def format_angle(value: float) -> str:
-    """Canonical angle literal, preferring pi-rationals when bit-exact."""
+    """Canonical angle literal, preferring pi-rationals when bit-exact.
+
+    The pi-rational is ``Fraction(value / pi).limit_denominator(96)`` when
+    its literal reads back exactly, and ``repr(value)`` is written otherwise.
+    """
     if value == 0.0:
         return "0"
-    frac = Fraction(value / math.pi).limit_denominator(96)
-    if frac != 0:
-        sign = "-" if frac < 0 else ""
-        k, n = abs(frac.numerator), frac.denominator
-        token = f"{sign}{'' if k == 1 else k}pi{'' if n == 1 else f'/{n}'}"
-        if parse_angle(token) == value:
+    x = value / math.pi
+    if 2.0**-20 < abs(x) < 2.0**20:
+        # A literal k pi/n that reads back lies so close to x that no other
+        # n <= 96 comes near it, so it is the best approximation, and thus a
+        # convergent of x's continued fraction: walk those in floats.
+        y, p0, q0, p1, q1 = abs(x), 0, 1, 1, 0
+        while True:
+            a = math.floor(y)
+            p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+            if q1 > 96:
+                break
+            if p1 and (token := _pi_token(value, x < 0, p1, q1)):
+                return token
+            y -= a
+            if y < 1 / 97:  # the next denominator passes 96; 1 / y may overflow
+                break
+            y = 1 / y
+    else:
+        # The argument above needs |x| in that range: near |x| ~ 1e14 the
+        # float error of x exceeds the gap between fractions, several of
+        # them read back, and the walk would pick another one than this.
+        frac = Fraction(x).limit_denominator(96)
+        if frac != 0 and (
+            token := _pi_token(value, frac < 0, abs(frac.numerator), frac.denominator)
+        ):
             return token
     return repr(value)
 
 
-def _state_terms(head: _Token, tokens: list[_Token], basis: BasisDescriptor) -> StateVector:
-    """Terms at even positions, ``+`` or ``-`` at odd ones, summed onto ``basis``."""
-    if not tokens:
-        raise ScenarioParseError(
-            f"{head.text} expects at least one amplitude term", head.line, head.column
-        )
+def _state_terms(row: _Row, basis: BasisDescriptor) -> StateVector:
+    """Terms at odd words, ``+`` or ``-`` at even ones after the head, summed onto ``basis``."""
+    words = row[2]
+    if len(words) == 1:
+        _fail(f"{words[0]} expects at least one amplitude term", row)
     amps = [0j] * basis.dimension
-    for position, tok in enumerate(tokens):
-        if position % 2:
-            if tok.text not in ("+", "-"):
-                raise ScenarioParseError(
-                    f"expected '+' or '-' between terms, got {tok.text!r}", tok.line, tok.column
-                )
+    for k, word in enumerate(words[1:], start=1):
+        if not k % 2:
+            if word not in ("+", "-"):
+                _fail(f"expected '+' or '-' between terms, got {word!r}", row, k)
             continue
-        amp_text, at, target = tok.text.partition("@")
+        amp_text, at, target = word.partition("@")
         if not at:
-            raise ScenarioParseError(
-                f"expected <amplitude>@<mode> term, got {tok.text!r}", tok.line, tok.column
-            )
+            _fail(f"expected <amplitude>@<mode> term, got {word!r}", row, k)
         mode, _, pol = target.partition(":")
         try:
             amp = parse_amplitude(amp_text)
             index = basis.index(mode, pol or None)
         except ValueError as exc:
-            raise ScenarioParseError(str(exc), tok.line, tok.column) from None
-        sign = -1.0 if position and tokens[position - 1].text == "-" else 1.0
+            _fail(str(exc), row, k)
+        sign = -1.0 if k > 1 and words[k - 1] == "-" else 1.0
         amps[index] += sign * amp
-    if len(tokens) % 2 == 0:
-        last = tokens[-1]
-        raise ScenarioParseError(
-            "state declaration ends with a dangling separator", last.line, last.column
-        )
+    if len(words) % 2:
+        _fail("state declaration ends with a dangling separator", row, len(words) - 1)
     try:
         return StateVector(basis, amps)
     except ValueError as exc:  # terms on one basis element can sum past the float range
-        raise ScenarioParseError(str(exc), head.line, head.column) from None
+        _fail(str(exc), row)
 
 
 class _Parser:
     def __init__(self, text: str, name: str):
         self.rows = _tokenize(text)
         self.name = name
-        self.last_line = text.count("\n") + 1
+        # Where a missing directive is reported: column 1 of the last line.
+        self.tail: _Row = (text.count("\n") + 1, "", [""])
         self.modes: tuple[str, ...] | None = None
         self.polarization: bool | None = None
         self.basis: BasisDescriptor | None = None
@@ -265,47 +296,42 @@ class _Parser:
         self.adjacency: set[tuple[str, str]] = set()
         self.seen: dict[str, set[str]] = {"arm": set(), "stage": set(), "slot": set()}
 
-    def fail(self, message: str, tok: _Token) -> None:
-        raise ScenarioParseError(message, tok.line, tok.column)
-
-    def check(self, problem: Diagnostic | None, tok: _Token) -> None:
+    def check(self, problem: Diagnostic | None, row: _Row, k: int = 0) -> None:
         if problem is not None:
-            self.fail(problem.message, tok)
+            _fail(problem.message, row, k)
 
-    def label(self, kind: str, tok: _Token) -> str:
-        self.check(_check_label(kind, tok.text, self.seen[kind]), tok)
-        return tok.text
+    def label(self, kind: str, row: _Row, k: int) -> str:
+        word = row[2][k]
+        self.check(_check_label(kind, word, self.seen[kind]), row, k)
+        return word
 
-    def need_basis(self, tok: _Token) -> BasisDescriptor:
+    def need_basis(self, row: _Row) -> BasisDescriptor:
         if self.basis is None:
             if self.modes is None:
-                self.fail("modes must be declared before this directive", tok)
+                _fail("modes must be declared before this directive", row)
             self.basis = BasisDescriptor(self.modes, polarization_enabled=bool(self.polarization))
         return self.basis
 
-    def args(self, row: list[_Token], count: int) -> list[_Token]:
-        head = row[0]
-        if len(row) - 1 != count:
-            self.fail(
-                f"{head.text} expects {count} argument(s), got {len(row) - 1}", head
-            )
-        return row[1:]
+    def args(self, row: _Row, count: int) -> list[str]:
+        words = row[2]
+        if len(words) - 1 != count:
+            _fail(f"{words[0]} expects {count} argument(s), got {len(words) - 1}", row)
+        return words[1:]
 
     def run(self) -> Scenario:
         for row in self.rows:
-            head = row[0]
-            handler = getattr(self, f"_directive_{head.text}", None)
+            head = row[2][0]
+            handler = getattr(self, f"_directive_{head}", None)
             if handler is None:
-                self.fail(f"unknown directive {head.text!r}", head)
+                _fail(f"unknown directive {head!r}", row)
             handler(row)
-        tail = _Token("", self.last_line, 1)
         if self.modes is None:
-            self.fail("missing modes declaration", tail)
+            _fail("missing modes declaration", self.tail)
         if self.preselect is None:
-            self.fail("missing preselect directive", tail)
+            _fail("missing preselect directive", self.tail)
         if self.postselect is None:
-            self.fail("missing postselect directive", tail)
-        basis = self.need_basis(tail)
+            _fail("missing postselect directive", self.tail)
+        basis = self.need_basis(self.tail)
         return Scenario(
             basis=basis,
             stages=[Stage(label, elements) for label, elements in self.stages],
@@ -318,69 +344,67 @@ class _Parser:
 
     # -- directives -------------------------------------------------------
 
-    def _directive_modes(self, row: list[_Token]) -> None:
+    def _directive_modes(self, row: _Row) -> None:
         if self.modes is not None:
-            self.fail("duplicate modes declaration", row[0])
-        if len(row) < 2:
-            self.fail("modes expects at least one label", row[0])
-        self.modes = tuple(self.label("arm", tok) for tok in row[1:])
+            _fail("duplicate modes declaration", row)
+        if len(row[2]) < 2:
+            _fail("modes expects at least one label", row)
+        self.modes = tuple(self.label("arm", row, k) for k in range(1, len(row[2])))
 
-    def _directive_polarization(self, row: list[_Token]) -> None:
+    def _directive_polarization(self, row: _Row) -> None:
         (arg,) = self.args(row, 1)
         if self.polarization is not None:
-            self.fail("duplicate polarization declaration", row[0])
+            _fail("duplicate polarization declaration", row)
         if self.basis is not None:
-            self.fail("polarization must be declared before states and stages", row[0])
-        if arg.text not in ("on", "off"):
-            self.fail(f"polarization expects 'on' or 'off', got {arg.text!r}", arg)
-        self.polarization = arg.text == "on"
+            _fail("polarization must be declared before states and stages", row)
+        if arg not in ("on", "off"):
+            _fail(f"polarization expects 'on' or 'off', got {arg!r}", row, 1)
+        self.polarization = arg == "on"
 
-    def _state_directive(self, row: list[_Token]) -> None:
-        role = row[0].text
+    def _state_directive(self, row: _Row) -> None:
+        role = row[2][0]
         if getattr(self, role) is not None:
-            self.fail(f"duplicate {role} directive", row[0])
-        state = _state_terms(row[0], row[1:], self.need_basis(row[0]))
-        self.check(_check_normalized(role, state), row[0])
+            _fail(f"duplicate {role} directive", row)
+        state = _state_terms(row, self.need_basis(row))
+        self.check(_check_normalized(role, state), row)
         setattr(self, role, state)
 
     _directive_preselect = _directive_postselect = _state_directive
 
-    def _directive_stage(self, row: list[_Token]) -> None:
-        (label,) = self.args(row, 1)
-        self.need_basis(row[0])
-        self.stages.append((self.label("stage", label), []))
+    def _directive_stage(self, row: _Row) -> None:
+        self.args(row, 1)
+        self.need_basis(row)
+        self.stages.append((self.label("stage", row, 1), []))
 
-    def _append_element(self, head: _Token, operands: tuple[str, ...], *parameters) -> None:
+    def _append_element(self, row: _Row, operands: tuple[str, ...], *parameters) -> None:
+        kind = row[2][0]
         if not self.stages:
-            self.fail(f"{head.text} must appear inside a stage", head)
+            _fail(f"{kind} must appear inside a stage", row)
         try:
-            spec = ElementSpec(head.text, operands, parameters)
+            spec = ElementSpec(kind, operands, parameters)
             check_element(spec, self.basis)
         except ValueError as exc:
-            self.fail(str(exc), head)
+            _fail(str(exc), row)
         self.stages[-1][1].append(spec)
 
-    def _arm_token(self, tok: _Token) -> str:
-        if self.modes is None or tok.text not in self.modes:
-            self.fail(f"unknown arm {tok.text!r}", tok)
-        return tok.text
+    def _arm_word(self, row: _Row, k: int) -> str:
+        word = row[2][k]
+        if self.modes is None or word not in self.modes:
+            _fail(f"unknown arm {word!r}", row, k)
+        return word
 
-    def _angle_token(self, tok: _Token) -> float:
+    def _angle_word(self, row: _Row, k: int) -> float:
         try:
-            return parse_angle(tok.text)
+            return parse_angle(row[2][k])
         except ValueError as exc:
-            raise ScenarioParseError(str(exc), tok.line, tok.column) from None
+            _fail(str(exc), row, k)
 
-    def _directive_beamsplitter(self, row: list[_Token]) -> None:
-        head = row[0]
-        if len(row) - 1 not in (3, 4, 5):
-            self.fail(
-                f"beamsplitter expects 2, 3 or 4 arms plus an angle, got {len(row) - 1} argument(s)",
-                head,
-            )
-        *arm_tokens, angle_tok = row[1:]
-        arms = [self._arm_token(t) for t in arm_tokens]
-        angle = self._angle_token(angle_tok)
+    def _directive_beamsplitter(self, row: _Row) -> None:
+        last = len(row[2]) - 1
+        if last not in (3, 4, 5):
+            _fail(f"beamsplitter expects 2, 3 or 4 arms plus an angle, got {last} argument(s)", row)
+        arms = [self._arm_word(row, k) for k in range(1, last)]
+        angle = self._angle_word(row, last)
         if len(arms) == 2:
             in1, in2, out1, out2 = arms[0], arms[1], arms[0], arms[1]
         elif len(arms) == 3:
@@ -388,29 +412,29 @@ class _Parser:
             in2 = out2
         else:
             in1, in2, out1, out2 = arms
-        self._append_element(head, (in1, in2, out1, out2), angle)
+        self._append_element(row, (in1, in2, out1, out2), angle)
 
-    def _arm_angle_directive(self, row: list[_Token]) -> None:
-        arm_tok, angle_tok = self.args(row, 2)
-        arm = self._arm_token(arm_tok)
-        self._append_element(row[0], (arm,), self._angle_token(angle_tok))
+    def _arm_angle_directive(self, row: _Row) -> None:
+        self.args(row, 2)
+        arm = self._arm_word(row, 1)
+        self._append_element(row, (arm,), self._angle_word(row, 2))
 
     _directive_waveplate = _directive_phaseshifter = _arm_angle_directive
 
-    def _directive_mirror(self, row: list[_Token]) -> None:
-        (arm_tok,) = self.args(row, 1)
-        self._append_element(row[0], (self._arm_token(arm_tok),))
+    def _directive_mirror(self, row: _Row) -> None:
+        self.args(row, 1)
+        self._append_element(row, (self._arm_word(row, 1),))
 
-    def _directive_slot(self, row: list[_Token]) -> None:
-        (name,) = self.args(row, 1)
-        self.slots.append(Slot(name=self.label("slot", name), boundary=len(self.stages)))
+    def _directive_slot(self, row: _Row) -> None:
+        self.args(row, 1)
+        self.slots.append(Slot(name=self.label("slot", row, 1), boundary=len(self.stages)))
 
-    def _directive_adjacency(self, row: list[_Token]) -> None:
-        a_tok, b_tok = self.args(row, 2)
-        for tok in (a_tok, b_tok):
-            self.check(_check_adjacency_end(tok.text, self.modes or ()), tok)
-        self.check(_check_self_edge(a_tok.text, b_tok.text), a_tok)
-        self.adjacency.add(tuple(sorted((a_tok.text, b_tok.text))))
+    def _directive_adjacency(self, row: _Row) -> None:
+        a, b = self.args(row, 2)
+        for k in (1, 2):
+            self.check(_check_adjacency_end(row[2][k], self.modes or ()), row, k)
+        self.check(_check_self_edge(a, b), row, 1)
+        self.adjacency.add(tuple(sorted((a, b))))
 
 
 def parse_scenario(text: str, name: str = "") -> Scenario:

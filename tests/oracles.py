@@ -5,12 +5,19 @@ interferometer's port assignments, without going through the package's
 element machinery (``optics.apply_element``).  One pointer oracle integrates Gaussian
 wavepackets on a dense grid instead of using closed-form overlaps; the
 other couples pointers longhand and sums the closed-form overlaps over
-every branch, with no branch skipped.
+every branch, with no branch skipped.  The scenario-text references are the
+regex tokenizer and the ``Fraction`` angle formatter that ``scendsl`` replaced.
 """
 
 from __future__ import annotations
 
+import math
+import re
+from fractions import Fraction
+
 import numpy as np
+
+from weaktrace.scendsl import parse_angle
 
 ARMS = ("S", "A", "B", "C", "D", "E", "F")
 
@@ -296,3 +303,29 @@ def union_find_continuity(arms, present, adjacency) -> tuple[bool, set, tuple[st
             if x in arms and x not in present and y in present:
                 gaps.add(x)
     return continuous, components, tuple(sorted(gaps))
+
+
+def tokenize_reference(text: str) -> list[tuple[int, int, str]]:
+    """``(line, column, word)`` of every word, by one ``\\S+`` regex per line.
+
+    Lines end at ``\\n`` only and a ``#`` comment runs to the end of its line.
+    """
+    tokens = []
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        content = raw.split("#", 1)[0]
+        tokens += [(line_no, m.start() + 1, m.group(0)) for m in re.finditer(r"\S+", content)]
+    return tokens
+
+
+def format_angle_reference(value: float) -> str:
+    """Canonical angle literal through ``Fraction.limit_denominator(96)``."""
+    if value == 0.0:
+        return "0"
+    frac = Fraction(value / math.pi).limit_denominator(96)
+    if frac != 0:
+        sign = "-" if frac < 0 else ""
+        k, n = abs(frac.numerator), frac.denominator
+        token = f"{sign}{'' if k == 1 else k}pi{'' if n == 1 else f'/{n}'}"
+        if parse_angle(token) == value:
+            return token
+    return repr(value)

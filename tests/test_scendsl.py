@@ -17,10 +17,14 @@ from weaktrace.scendsl import (
     FIG2_TEXT,
     ScenarioParseError,
     builtin_scenario,
+    format_angle,
+    parse_angle,
     parse_scenario,
     serialize_scenario,
     validate,
 )
+
+from oracles import format_angle_reference, tokenize_reference
 
 
 def test_each_element_applied_once(monkeypatch):
@@ -277,6 +281,12 @@ _BODY = "modes A B\npreselect 1@A\nstage s\n"
         ("modes A B A\npreselect 1@A\npostselect 1@A\n", 1, 11),
         ("modes A B:x\npreselect 1@A\npostselect 1@A\n", 1, 9),
         ("modes A B\npreselect 1e308@A + 1e308@A\npostselect 1@B\n", 2, 1),
+        ("modes AB B B\npreselect 1@B\npostselect 1@B\n", 1, 12),
+        ("modes A\tB\x0cA\npreselect 1@A\npostselect 1@A\n", 1, 11),
+        ("modes A B\npreselect 1/sqrt2@A + 1/sqrt2@B +\npostselect 1@B\n", 2, 33),
+        (_BODY + "beamsplitter A B B Q pi/4\npostselect 1@B\n", 4, 20),
+        ("modes A B\npreselect 1@A\nadjacency A A\npostselect 1@B\n", 3, 11),
+        ("", 1, 1),
     ],
     ids=[
         "unknown-directive",
@@ -298,6 +308,12 @@ _BODY = "modes A B\npreselect 1@A\nstage s\n"
         "duplicate-arm",
         "colon-arm",
         "overflowing-sum",
+        "repeat-inside-earlier-word",
+        "tab-form-feed-repeat",
+        "second-dangling-plus",
+        "repeated-arm-then-unknown",
+        "repeated-self-edge",
+        "empty-text",
     ],
 )
 def test_parse_error_points_at_token(text, line, column):
@@ -329,3 +345,82 @@ def test_whitespace_only_line_is_one_line(blank):
     with pytest.raises(ScenarioParseError) as info:
         parse_scenario(f"modes A B\n{blank}\nteleport A\n")
     assert (info.value.line, info.value.column) == (3, 1)
+
+
+# Every whitespace character the tests above name, and the line-ending characters.
+_TEXT_ALPHABET = "ABab#+\n\r \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u2029\u3000"
+
+
+@given(st.text(_TEXT_ALPHABET, max_size=60))
+@settings(max_examples=400, deadline=None)
+def test_word_rows_match_regex_tokens(text):
+    """Each word's line and column, found only on error, are the regex tokenizer's."""
+    found = []
+    for row in scendsl._tokenize(text):
+        for k, word in enumerate(row[2]):
+            with pytest.raises(ScenarioParseError) as info:
+                scendsl._fail("", row, k)
+            found.append((info.value.line, info.value.column, word))
+    assert found == tokenize_reference(text)
+
+
+def _same_angle_text(value):
+    """format_angle and the Fraction reference give one string, or raise one type."""
+    results = []
+    for formatter in (format_angle, format_angle_reference):
+        try:
+            results.append(formatter(value))
+        except (ValueError, ArithmeticError) as exc:
+            results.append(type(exc))
+    assert results[0] == results[1], value
+
+
+def _with_neighbours(value):
+    return (value, math.nextafter(value, math.inf), math.nextafter(value, -math.inf))
+
+
+def _pi_multiples(k, n):
+    """k pi/n as the parser builds it, and as a fraction times pi."""
+    return parse_angle(f"{k}pi/{n}"), k / n * math.pi
+
+
+def test_format_angle_matches_fraction_reference_on_pi_grid():
+    for n in range(1, 97):
+        for k in range(-2 * n, 2 * n + 1):
+            for value in _pi_multiples(k, n):
+                _same_angle_text(value)
+
+
+@given(st.integers(-1000, 1000), st.integers(1, 96))
+@settings(max_examples=500, deadline=None)
+def test_format_angle_matches_fraction_reference_next_to_pi_multiples(k, n):
+    for value in _pi_multiples(k, n):
+        for near in _with_neighbours(value):
+            _same_angle_text(near)
+
+
+@pytest.mark.parametrize("scale", [2.0**-20, 2.0**20], ids=["2^-20", "2^20"])
+def test_format_angle_matches_fraction_reference_at_walk_bounds(scale):
+    """Both sides of the range where format_angle walks convergents instead of Fraction."""
+    for ratio in (scale, scale * (1 + 2.0**-40), scale * (1 - 2.0**-40), scale + 1 / 3, scale - 1 / 7):
+        for value in _with_neighbours(ratio * math.pi):
+            for near in _with_neighbours(value):
+                _same_angle_text(near)
+                _same_angle_text(-near)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))
+@settings(max_examples=500, deadline=None)
+def test_format_angle_matches_fraction_reference_on_floats(value):
+    for near in _with_neighbours(value):
+        _same_angle_text(near)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, sys.float_info.max,
+     math.inf, -math.inf, math.nan, 1e14 * math.pi, 0.3, -math.pi / 3],
+)
+def test_format_angle_matches_fraction_reference_at_extremes(value):
+    for near in _with_neighbours(value):
+        _same_angle_text(near)
