@@ -208,6 +208,11 @@ def _g_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"malformed strength list {text!r}") from None
     if not values:
         raise argparse.ArgumentTypeError("empty strength list")
+    for g in values:
+        if 0.0 < g <= ZERO_DISPLAY:  # its row would print g as 0, like a g = 0 baseline
+            raise argparse.ArgumentTypeError(
+                f"strength {g!r} is at or below the display floor {ZERO_DISPLAY:g}"
+            )
     return values
 
 

@@ -207,45 +207,29 @@ def format_amplitude(value: complex) -> str:
     return f"{re_part!r}{sign}{abs(im_part)!r}i"
 
 
-def _pi_token(value: float, negative: bool, k: int, n: int) -> str | None:
-    """The literal ``±k pi/n`` if it reads back as exactly ``value``, else None."""
-    token = f"{'-' if negative else ''}{'' if k == 1 else k}pi{'' if n == 1 else f'/{n}'}"
-    return token if parse_angle(token) == value else None
-
-
 def format_angle(value: float) -> str:
-    """Canonical angle literal, preferring pi-rationals when bit-exact.
+    """Canonical angle literal, ``k pi/n`` when that reads back exactly.
 
-    The pi-rational is ``Fraction(value / pi).limit_denominator(96)`` when
-    its literal reads back exactly, and ``repr(value)`` is written otherwise.
+    k/n is the best approximation of ``value / pi`` with n <= 96; its
+    literal is written when it is nonzero and parses to ``value``, and
+    ``repr(value)`` otherwise.
     """
     if value == 0.0:
         return "0"
-    x = value / math.pi
-    if 2.0**-20 < abs(x) < 2.0**20:
-        # A literal k pi/n that reads back lies so close to x that no other
-        # n <= 96 comes near it, so it is the best approximation, and thus a
-        # convergent of x's continued fraction: walk those in floats.
-        y, p0, q0, p1, q1 = abs(x), 0, 1, 1, 0
-        while True:
-            a = math.floor(y)
-            p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
-            if q1 > 96:
-                break
-            if p1 and (token := _pi_token(value, x < 0, p1, q1)):
-                return token
-            y -= a
-            if y < 1 / 97:  # the next denominator passes 96; 1 / y may overflow
-                break
-            y = 1 / y
-    else:
-        # The argument above needs |x| in that range: near |x| ~ 1e14 the
-        # float error of x exceeds the gap between fractions, several of
-        # them read back, and the walk would pick another one than this.
-        frac = Fraction(x).limit_denominator(96)
-        if frac != 0 and (
-            token := _pi_token(value, frac < 0, abs(frac.numerator), frac.denominator)
-        ):
+    # Fraction.limit_denominator(96) on the float's exact ratio: continued-
+    # fraction convergents p1/q1 until the next denominator passes 96, then
+    # the largest semiconvergent if it is strictly nearer.
+    n, den = abs(value / math.pi).as_integer_ratio()
+    p0, q0, p1, q1, d = 0, 1, 1, 0, den
+    while d and q0 + (a := n // d) * q1 <= 96:
+        p0, q0, p1, q1, n, d = p1, q1, p0 + a * p1, q0 + a * q1, d, n - a * d
+    if d:
+        k = (96 - q0) // q1
+        if 2 * d * (q0 + k * q1) > den:
+            p1, q1 = p0 + k * p1, q0 + k * q1
+    if p1:
+        token = f"{'-' if value < 0 else ''}{'' if p1 == 1 else p1}pi{'' if q1 == 1 else f'/{q1}'}"
+        if parse_angle(token) == value:
             return token
     return repr(value)
 

@@ -301,16 +301,13 @@ def _read_shift_sets(
     # A width whose square underflows gives 0/0 here, and a vanishing
     # probability divides by 0; the readout check raises for both.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        quarter = 4.0 * widths**2
         diff = shifts[:, :, None, :] - shifts[:, None, :, :]
-        log_overlap = np.add.reduce(diff**2 / (-8.0 * widths**2), axis=-1)
+        log_overlap = np.add.reduce(diff**2 / (-2.0 * quarter), axis=-1)
         cross = (np.conj(weights)[:, None] * weights[None, :] * np.exp(log_overlap))[:, None]
         per_pointer = shifts.transpose(0, 2, 1)[..., None]
         centers = (per_pointer + per_pointer.transpose(0, 1, 3, 2)) / 2.0
-        # A scalar's w**2 (libm pow) and an array's (w*w) differ in the last
-        # bit for about 1 width in 1,000; the momentum factor takes the
-        # scalar one, the overlap exponent the array one.
-        quarter = np.array([4.0 * w**2 for w in widths])[:, None, None]
-        momenta = 1j * diff.transpose(0, 3, 1, 2) / quarter
+        momenta = 1j * diff.transpose(0, 3, 1, 2) / quarter[:, None, None]
         terms = np.concatenate((cross, cross * centers, cross * momenta), axis=1)
         blocks = terms.reshape(sets * (1 + 2 * n), live, live)
         sums = np.array([np.add.reduce(block, axis=None) for block in blocks]).real

@@ -62,6 +62,7 @@ def test_default_table_matches_golden_bytes(fig, case, capsys):
         ["no-such-command", "fig1"],
         ["weakvalues"],
         ["sweep", "fig1", "--g", "0.1"],
+        ["sweep", "fig1", "--arm", "B", "--g", "1e-13,1e-14"],
         ["trace", "fig1", "--format", "yaml"],
     ],
 )

@@ -401,12 +401,22 @@ def test_format_angle_matches_fraction_reference_next_to_pi_multiples(k, n):
 
 @pytest.mark.parametrize("scale", [2.0**-20, 2.0**20], ids=["2^-20", "2^20"])
 def test_format_angle_matches_fraction_reference_at_walk_bounds(scale):
-    """Both sides of the range where format_angle walks convergents instead of Fraction."""
+    """Both sides of 2^-20 and 2^20 in value/pi, and their float neighbours."""
     for ratio in (scale, scale * (1 + 2.0**-40), scale * (1 - 2.0**-40), scale + 1 / 3, scale - 1 / 7):
         for value in _with_neighbours(ratio * math.pi):
             for near in _with_neighbours(value):
                 _same_angle_text(near)
                 _same_angle_text(-near)
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [(53763074600669.45, "1129478998363963pi/66"), (-56085590221167.266, "-1535323414227141pi/86")],
+)
+def test_format_angle_writes_semiconvergent(value, text):
+    """The best k/n here is a semiconvergent (convergent denominators 31, 128 and 21, 128)."""
+    assert format_angle(value) == text
+    assert parse_angle(text) == value
 
 
 @given(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))

@@ -33,8 +33,10 @@ from oracles import (
 
 SQ2 = np.sqrt(2.0)
 
-#: Multi-pointer placements with their readouts as ``repr`` floats, written
-#: by the readout that looped over pointers, before the batched kernel.
+#: Multi-pointer placements with their readouts as ``repr`` floats.  The fig1
+#: and fig2 cases were written by the readout that looped over pointers,
+#: before the batched kernel; their momenta are 0.  The phase case pins
+#: nonzero momenta at a width whose scalar and array squares differ.
 PINNED_READOUTS = json.loads(
     (Path(__file__).parent / "golden" / "multi-pointer-readouts.json").read_text(encoding="utf-8")
 )
