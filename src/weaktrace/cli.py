@@ -51,12 +51,11 @@ def _round15(x: float) -> float:
 
 def format_complex(value: complex) -> str:
     """Render ``re+imi`` with exact-zero parts (below 1e-12) suppressed."""
-    re_part = value.real if abs(value.real) > ZERO_DISPLAY else 0.0
-    im_part = value.imag if abs(value.imag) > ZERO_DISPLAY else 0.0
+    re_part, im_part = _round15(value.real), _round15(value.imag)
     if re_part == 0.0 and im_part == 0.0:
         return "0"
-    re_text = format(_round15(re_part), "g")
-    im_text = format(_round15(abs(im_part)), "g") + "i"
+    re_text = format(re_part, "g")
+    im_text = format(abs(im_part), "g") + "i"
     if im_part == 0.0:
         return re_text
     if re_part == 0.0:

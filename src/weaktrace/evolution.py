@@ -56,8 +56,9 @@ class Scenario:
     """Immutable pre/post-selected interferometer description.
 
     ``adjacency`` lists undirected arm-graph edges; endpoints are arm labels
-    or the SOURCE/DETECTOR sentinels.  ``coupling_slots`` name boundaries;
-    slots named after an arm define that arm's canonical coupling point.
+    or the SOURCE/DETECTOR sentinels, stored in canonical order: each edge's
+    ends sorted, duplicates dropped, edges sorted.  ``coupling_slots`` name
+    boundaries; slots named after an arm define its canonical coupling point.
     ``stage_matrices``, the read-only ``(n_stages, d, d)`` stack of each
     stage's elements applied to the identity, is built once here, so an
     element that does not fit the basis raises here and every stage is
@@ -80,7 +81,8 @@ class Scenario:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stages", tuple(self.stages))
-        object.__setattr__(self, "adjacency", tuple(tuple(e) for e in self.adjacency))
+        edges = {tuple(sorted(edge)) for edge in self.adjacency}
+        object.__setattr__(self, "adjacency", tuple(sorted(edges)))
         object.__setattr__(self, "coupling_slots", tuple(self.coupling_slots))
         if self.preselect.basis != self.basis or self.postselect.basis != self.basis:
             raise DimensionError("preselect/postselect basis differs from scenario basis")
@@ -125,8 +127,9 @@ class Scenario:
         """Canonical ``(arm, boundary)`` coupling points for weak-value reports.
 
         Slots whose name matches an arm label define the canonical points,
-        in declaration order.  A scenario with no arm-named slots reports
-        every arm at the final boundary.
+        in checked boundary order (stable), the order text writes them in.
+        A scenario with no arm-named slots reports every arm at the final
+        boundary.
         """
         named = [
             (slot.name, slot.boundary)
@@ -134,7 +137,7 @@ class Scenario:
             if slot.name in self.basis.path_modes
         ]
         if named:
-            return tuple(named)
+            return tuple(sorted(named, key=lambda slot: self.check_boundary(slot[1])))
         final = len(self.stages)
         return tuple((arm, final) for arm in self.basis.path_modes)
 

@@ -10,14 +10,15 @@ Conventions, fixed globally:
   diagonal state (H+V)/sqrt2 and ``a = -pi/4`` to the antidiagonal one.
 
 An element is an :class:`ElementSpec`, which checks everything that does not
-depend on a basis; :func:`check_element` checks that it fits a basis and
-looks up its arms' rows, and :func:`apply_element` acts on those rows of a
-``d x n`` array in place with plain row arithmetic: a beamsplitter combines
-its input rows into its output rows, a waveplate rotates its arm's H/V rows,
-and a phaseshifter or mirror multiplies its arm's rows.  No element matrix
-is built.  Each matrix in ``evolution.Scenario.stage_matrices`` is the
-identity with its stage's elements applied in turn; :func:`element_operator`
-applies one element to the identity.
+depend on a basis; :func:`check_element` is the one basis rule, that a
+waveplate needs polarization.  :func:`apply_element` looks up each operand's
+rows once and acts on them in a ``d x n`` array in place, with plain row
+arithmetic: a beamsplitter combines its input rows into its output rows, a
+waveplate rotates its arm's H/V rows, and a phaseshifter or mirror multiplies
+its arm's rows.  No element matrix is built.  Each matrix in
+``evolution.Scenario.stage_matrices`` is the identity with its stage's
+elements applied in turn; :func:`element_operator` applies one element to
+the identity.
 """
 
 from __future__ import annotations
@@ -91,25 +92,21 @@ class ElementSpec:
         object.__setattr__(self, "parameters", tuple(map(float, self.parameters)))
 
 
-def check_element(spec: ElementSpec, basis: BasisDescriptor) -> list[slice]:
-    """Row slice of each arm of ``spec`` in ``basis``, in operand order.
-
-    Raises ``UnknownLabelError`` for an arm not in ``basis`` first,
-    then ``ValueError`` for a waveplate on a basis without polarization.
-    """
-    operand_rows = [slice(r.start, r.stop) for r in map(basis.arm_indices, spec.operands)]
+def check_element(spec: ElementSpec, basis: BasisDescriptor) -> None:
+    """The basis rule: ``ValueError`` for a waveplate without polarization.  No arm lookup."""
     if spec.kind == "waveplate" and not basis.polarization_enabled:
         raise ValueError("waveplate requires a polarization-enabled basis")
-    return operand_rows
 
 
 def apply_element(spec: ElementSpec, basis: BasisDescriptor, rows: np.ndarray) -> None:
     """Left-multiply the complex ``d x n`` array ``rows`` in place by the matrix of ``spec``.
 
-    :func:`check_element` runs before the first write, so ``rows`` is
+    The operand rows are looked up (``UnknownLabelError`` for an unknown arm)
+    and :func:`check_element` runs before the first write, so ``rows`` is
     unchanged when this raises.
     """
-    operand_rows = check_element(spec, basis)
+    operand_rows = [slice(r.start, r.stop) for r in map(basis.arm_indices, spec.operands)]
+    check_element(spec, basis)
     if spec.kind == "beamsplitter":
         in1, in2, out1, out2 = operand_rows
         # Slices are views, and the swap below overwrites the input rows.

@@ -101,7 +101,7 @@ def _as_amplitude_array(values, dim: int) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128)
     if arr.ndim != 1 or arr.shape[0] != dim:
         raise DimensionError(f"expected {dim} amplitudes, got shape {arr.shape}")
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
+    if not np.isfinite(arr).all():
         raise ValueError("non-finite amplitude")
     arr = arr.copy()
     arr.setflags(write=False)
@@ -147,7 +147,7 @@ class Operator:
         dim = self.basis.dimension
         if mat.shape != (dim, dim):
             raise DimensionError(f"expected {dim}x{dim} matrix, got {mat.shape}")
-        if not (np.all(np.isfinite(mat.real)) and np.all(np.isfinite(mat.imag))):
+        if not np.isfinite(mat).all():
             raise ValueError("non-finite matrix entry")
         mat = mat.copy()
         mat.setflags(write=False)

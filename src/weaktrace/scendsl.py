@@ -277,7 +277,7 @@ class _Parser:
         self.postselect: StateVector | None = None
         self.stages: list[tuple[str, list[ElementSpec]]] = []
         self.slots: list[Slot] = []
-        self.adjacency: set[tuple[str, str]] = set()
+        self.adjacency: list[tuple[str, str]] = []
         self.seen: dict[str, set[str]] = {"arm": set(), "stage": set(), "slot": set()}
 
     def check(self, problem: Diagnostic | None, row: _Row, k: int = 0) -> None:
@@ -321,7 +321,7 @@ class _Parser:
             stages=[Stage(label, elements) for label, elements in self.stages],
             preselect=self.preselect,
             postselect=self.postselect,
-            adjacency=tuple(sorted(self.adjacency)),
+            adjacency=self.adjacency,
             coupling_slots=tuple(self.slots),
             name=self.name,
         )
@@ -418,7 +418,7 @@ class _Parser:
         for k in (1, 2):
             self.check(_check_adjacency_end(row[2][k], self.modes or ()), row, k)
         self.check(_check_self_edge(a, b), row, 1)
-        self.adjacency.add(tuple(sorted((a, b))))
+        self.adjacency.append((a, b))
 
 
 def parse_scenario(text: str, name: str = "") -> Scenario:
@@ -446,7 +446,7 @@ def serialize_scenario(scenario: Scenario) -> str:
             lines.append(_format_element(spec))
         for name in slots_at.get(position, ()):
             lines.append(f"slot {name}")
-    for a, b in sorted(set(map(tuple, scenario.adjacency))):
+    for a, b in scenario.adjacency:
         lines.append(f"adjacency {a} {b}")
     lines.append("postselect " + _format_state(scenario.postselect))
     return "\n".join(lines) + "\n"

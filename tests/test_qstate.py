@@ -60,8 +60,10 @@ class TestStateVector:
             StateVector(BASIS, np.ones(3))
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            StateVector(BASIS, [np.nan, 0, 0, 0])
+        """Either part of an entry can be the non-finite one."""
+        for bad in (np.nan, complex(0, np.inf), complex(-np.inf, 1)):
+            with pytest.raises(ValueError):
+                StateVector(BASIS, [bad, 0, 0, 0])
 
     def test_unnormalized_allowed_and_flagged(self):
         assert StateVector(BASIS, [2.0, 0, 0, 0]).norm() == 2.0

@@ -23,14 +23,21 @@ from weaktrace.scendsl import (
     serialize_scenario,
     validate,
 )
+from weaktrace.weakmeas import weak_value_table
 
 from oracles import format_angle_reference, tokenize_reference
 
 
 def test_each_element_applied_once(monkeypatch):
-    """A parse checks each element once at its token and applies it once, in ``Scenario``."""
-    checked, applied = [], []
+    """A parse checks each element once at its token and applies it once, in ``Scenario``,
+    which looks up each operand's rows once."""
+    checked, applied, looked_up = [], [], []
     original_check, original_apply = scendsl.check_element, optics.apply_element
+    original_arm_indices = BasisDescriptor.arm_indices
+
+    def counting_arm_indices(basis, arm):
+        looked_up.append(arm)
+        return original_arm_indices(basis, arm)
 
     def counting_check(spec, basis):
         checked.append(spec)
@@ -49,11 +56,14 @@ def test_each_element_applied_once(monkeypatch):
             if value is original_apply:
                 monkeypatch.setattr(module, attr, counting_apply)
     monkeypatch.setattr(optics, "element_operator", forbidden)
+    monkeypatch.setattr(BasisDescriptor, "arm_indices", counting_arm_indices)
     scenario = parse_scenario(FIG2_TEXT)
     elements = [spec for stage in scenario.stages for spec in stage.elements]
     assert len(elements) == 5
     assert checked == elements
     assert applied == elements
+    assert looked_up == [arm for spec in elements for arm in spec.operands]
+    assert len(looked_up) == 14
 
 
 def test_stage_unitary_is_product_of_element_operators(fig2):
@@ -256,6 +266,22 @@ def test_stage_added_through_api_round_trips(fig1, angle):
         assert new.tobytes() == old.tobytes()
 
 
+def test_api_slot_order_reads_like_its_reparse(fig1):
+    """Text writes slots in boundary order, so reversed slots keep one id and one table."""
+    flipped = replace(fig1, coupling_slots=fig1.coupling_slots[::-1])
+    again = parse_scenario(serialize_scenario(flipped))
+    assert serialize_scenario(again) == serialize_scenario(flipped)
+    arms = [[row.arm for row in weak_value_table(s)] for s in (flipped, again)]
+    assert arms == [list("DCBAE")] * 2
+
+
+def test_api_adjacency_is_stored_in_canonical_order(fig1):
+    """Reversed edges and a reversed duplicate are one edge each, written as fig1 writes it."""
+    flipped = replace(fig1, adjacency=[edge[::-1] for edge in fig1.adjacency[:1] + fig1.adjacency])
+    assert flipped.adjacency == fig1.adjacency
+    assert serialize_scenario(flipped) == serialize_scenario(fig1)
+
+
 _BODY = "modes A B\npreselect 1@A\nstage s\n"
 
 
@@ -275,6 +301,7 @@ _BODY = "modes A B\npreselect 1@A\nstage s\n"
         ("modes A B\nadjacency B B\npreselect 1@A\npostselect 1@B\n", 2, 11),
         ("modes A B\nslot A\npreselect 1@A\nslot A\npostselect 1@B\n", 4, 6),
         (_BODY + "waveplate A pi/4\npostselect 1@B\n", 4, 1),
+        ("modes A B\npolarization off\npreselect 1@A\nstage s\nwaveplate A pi/4\nbogus x\n", 5, 1),
         (_BODY + "beamsplitter A B B A pi/4\npostselect 1@B\n", 4, 1),
         (_BODY + "stage s\npostselect 1@B\n", 4, 7),
         ("modes A SOURCE\npreselect 1@A\npostselect 1@A\n", 1, 9),
@@ -302,6 +329,7 @@ _BODY = "modes A B\npreselect 1@A\nstage s\n"
         "self-edge",
         "duplicate-slot",
         "waveplate-without-polarization",
+        "waveplate-before-later-fault",
         "overlapping-routing",
         "duplicate-stage",
         "sentinel-arm",
