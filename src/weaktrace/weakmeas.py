@@ -11,8 +11,10 @@ Gaussian pointer (position variance ``sigma**2``, initially centered at 0)
 by ``g`` on the projected branch and leaves the complementary branch alone.
 The joint state thus stays exactly a sum of branches, kept as two arrays
 with one row per branch: system amplitudes ``systems`` (B x d) and pointer
-shifts ``shifts`` (B x N), B = 2**N.  Post-selected readout reduces to
-closed-form Gaussian overlap integrals: for branch shifts ``a`` and ``b``,
+shifts ``shifts`` (B x N).  Disjoint arm projectors give 0, so a boundary
+adds one row per distinct arm coupled there, not per pointer: B =
+prod_b (m_b + 1), m_b those arms at boundary b.  Post-selected readout
+reduces to closed-form Gaussian overlap integrals: for shifts ``a``, ``b``,
 
     <phi_a|phi_b>    = exp(-(a-b)^2 / (8 sigma^2))
     <phi_a|x|phi_b>  = (a+b)/2 * <phi_a|phi_b>
@@ -20,7 +22,7 @@ closed-form Gaussian overlap integrals: for branch shifts ``a`` and ``b``,
 
 Each term carries both branches' post-selected weights, so skipping the
 branches of weight exactly 0 is exact: pairing the L live branches costs
-L**2, not B**2 (``fig1`` with a pointer on each canonical slot: L=3, B=32).
+L**2, not B**2 (``fig1`` with a pointer on each canonical slot: L=3, B=16).
 There is no perturbative truncation anywhere: weak-limit behavior is
 observed by sweeping ``g`` downward, not assumed.
 
@@ -100,7 +102,7 @@ class PointerSpec:
 
 @dataclass(frozen=True)
 class Branch:
-    """System component carrying one pointer shift assignment."""
+    """One row as an object; kept only for the benchmark's traced branch counts."""
 
     system: StateVector
     shifts: tuple[float, ...]
@@ -112,7 +114,8 @@ class PointerEnsemble:
 
     Row b of ``systems`` (B x d) is one system component, row b of ``shifts``
     (B x N) its pointer shifts (each 0 or that pointer's strength).  The rows
-    sum to the uncoupled final forward state; all B = 2**N are kept, zeros too.
+    sum to the uncoupled final forward state; see ``_split_rows`` for B and
+    the row order.  Rows of exactly 0 (an arm with no amplitude) are kept.
     """
 
     specs: tuple[PointerSpec, ...]
@@ -171,11 +174,10 @@ class SweepReport:
     fitted_disturbance_order: float
 
 
-def _on_arm(basis: BasisDescriptor, arm: str) -> np.ndarray:
-    """Mask of ``arm``'s basis indices; its projector zeroes a row's entries outside it."""
-    mask = np.zeros(basis.dimension, dtype=bool)
-    mask[list(basis.arm_indices(arm))] = True
-    return mask
+def _arm_slice(basis: BasisDescriptor, arm: str) -> slice:
+    """``arm``'s basis indices, one contiguous run in arm-major order."""
+    indices = basis.arm_indices(arm)
+    return slice(indices.start, indices.stop)
 
 
 def _result(arm: str | None, boundary: int, bwd_row, observed, fwd_row) -> WeakValueResult:
@@ -212,10 +214,12 @@ def arm_weak_value(scenario: Scenario, arm: str, boundary: int | None = None) ->
         boundary = dict(scenario.canonical_slots()).get(arm)
         if boundary is None:
             raise ValueError(f"arm {arm!r} has no canonical coupling slot")
-    on_arm = _on_arm(scenario.basis, arm)
+    on_arm = _arm_slice(scenario.basis, arm)
     b = scenario.check_boundary(boundary)
     fwd, bwd = scenario.boundary_states
-    return _result(arm, b, bwd[b], np.where(on_arm, fwd[b], 0.0), fwd[b])
+    observed = np.zeros_like(fwd[b])
+    observed[on_arm] = fwd[b][on_arm]
+    return _result(arm, b, bwd[b], observed, fwd[b])
 
 
 def weak_value_table(scenario: Scenario) -> tuple[WeakValueResult, ...]:
@@ -228,27 +232,33 @@ def _split_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The coupled rows (B x d) and which pointers each row carries (B x N, bool).
 
-    Pointers are applied at their stage boundaries in boundary order (the
-    given order breaks ties at a shared boundary; projectors on distinct
-    arms commute, so ties are harmless).  Each coupling splits every row
-    into its complement and its projected part, which carries the pointer;
-    stages act on all rows at once.  Neither array depends on a strength.
+    At each boundary every row splits into its part off the coupled arms,
+    then one part per distinct coupled arm, carrying all that arm's pointers
+    there, in reverse order of each arm's first pointer in ``specs``.  These
+    are, in order, the rows of one doubling per pointer that do not project
+    onto two arms, or an arm and its complement, at one boundary (those are
+    exactly 0); each stage product is a ``gemm`` on at least 2 rows after a
+    split, so the kept rows match bit for bit.  No strength enters.
     """
-    boundaries = []
-    for spec in specs:
-        boundaries.append(scenario.check_boundary(spec.boundary))
+    arms: list[dict[str, list[int]]] = [{} for _ in range(scenario.n_boundaries)]
+    for k, spec in enumerate(specs):
+        boundary = scenario.check_boundary(spec.boundary)
         if spec.arm not in scenario.basis.path_modes:
             raise ValueError(f"pointer {spec.name!r} targets unknown arm {spec.arm!r}")
-    systems = scenario.preselect.amplitudes[None, :].copy()
-    hits = np.zeros((1, len(specs)), dtype=bool)
-    for boundary in range(scenario.n_boundaries):
-        for k in [k for k, b in enumerate(boundaries) if b == boundary]:
-            on_arm = _on_arm(scenario.basis, specs[k].arm)
-            systems = np.repeat(systems, 2, axis=0)
-            systems[0::2, on_arm] = 0.0
-            systems[1::2, ~on_arm] = 0.0
-            hits = np.repeat(hits, 2, axis=0)
-            hits[1::2, k] = True
+        arms[boundary].setdefault(spec.arm, []).append(k)
+    systems, hits = scenario.preselect.amplitudes[None, :], np.zeros((1, len(specs)), dtype=bool)
+    for boundary, coupled in enumerate(arms):
+        if coupled:
+            rows, width = len(systems), len(coupled) + 1
+            split = np.zeros((rows, width, scenario.basis.dimension), dtype=np.complex128)
+            split[:, 0] = systems
+            hits = np.repeat(hits[:, None], width, axis=1)
+            for j, (arm, ks) in enumerate(reversed(coupled.items()), start=1):
+                on_arm = _arm_slice(scenario.basis, arm)
+                split[:, j, on_arm] = split[:, 0, on_arm]
+                split[:, 0, on_arm] = 0.0
+                hits[:, j, ks] = True
+            systems, hits = split.reshape(rows * width, -1), hits.reshape(rows * width, -1)
         if boundary < len(scenario.stages):
             systems = systems @ scenario.stage_matrices[boundary].T
     return systems, hits
@@ -262,9 +272,9 @@ def _shifts(hits: np.ndarray, strengths: np.ndarray) -> np.ndarray:
 def couple_pointers(scenario: Scenario, pointers: list[PointerSpec]) -> PointerEnsemble:
     """Evolve the preselection with exact conditional-translation couplings.
 
-    Each coupling splits every row into its complement (shifts kept) and its
-    projected part (pointer shifted by the strength), at the pointer's
-    boundary; see ``_split_rows`` for the order.  Exact at all strengths.
+    At each boundary every row splits into its part off the coupled arms
+    (shifts kept) and one part per coupled arm, which shifts each pointer on
+    that arm by its strength; see ``_split_rows``.  Exact at all strengths.
     """
     specs = tuple(pointers)
     systems, hits = _split_rows(scenario, specs)
@@ -347,13 +357,7 @@ def postselect_and_readout(
     )
     _check_readout(probability, mean_x, mean_p, [spec.name for spec in ensemble.specs])
     return tuple(
-        PointerReadout(
-            name=spec.name,
-            arm=spec.arm,
-            mean_position_shift=x,
-            mean_momentum_shift=p,
-            postselection_probability=probability,
-        )
+        PointerReadout(spec.name, spec.arm, x, p, probability)
         for spec, x, p in zip(ensemble.specs, mean_x, mean_p)
     )
 
@@ -369,8 +373,7 @@ def _fit_order(xs: list[float], errors: list[float]) -> float:
     le = np.log([p[1] for p in points])
     # A closed-form least-squares slope rounds differently from polyfit's
     # lstsq and moves the printed 15th digit, so polyfit stays.
-    slope = np.polyfit(lx, le, 1)[0]
-    return float(slope)
+    return float(np.polyfit(lx, le, 1)[0])
 
 
 def weak_limit_sweep(
@@ -405,12 +408,8 @@ def weak_limit_sweep(
         PointerSpec(pointer.name, pointer.arm, pointer.boundary, g, pointer.width)
         _check_readout(probability, mean_x, mean_p, [pointer.name])
         (shift,) = mean_x
-        if g > 0.0:
-            over_g = shift / g
-            deviation = abs(over_g - analytic.value.real)
-        else:
-            over_g = None
-            deviation = None
+        over_g = shift / g if g > 0.0 else None
+        deviation = abs(over_g - analytic.value.real) if g > 0.0 else None
         entries.append(
             SweepEntry(
                 g=g,

@@ -3,10 +3,12 @@
 The stage matrices here are written out column by column from the reference
 interferometer's port assignments, without going through the package's
 element machinery (``optics.apply_element``).  One pointer oracle integrates Gaussian
-wavepackets on a dense grid instead of using closed-form overlaps; the
-other couples pointers longhand and sums the closed-form overlaps over
-every branch, with no branch skipped.  The scenario-text references are the
-regex tokenizer and the ``Fraction`` angle formatter that ``scendsl`` replaced.
+wavepackets on a dense grid instead of using closed-form overlaps; another
+couples pointers longhand and sums the closed-form overlaps over every
+branch, with no branch skipped; a third splits every row once per pointer
+and keeps the rows that can carry amplitude, to compare row for row.  The
+scenario-text references are the regex tokenizer and the ``Fraction``
+angle formatter that ``scendsl`` replaced.
 """
 
 from __future__ import annotations
@@ -257,6 +259,51 @@ def full_sum_pointer_readout(
         mean_x.append(float((cross * (a + b) / 2.0).sum().real) / probability)
         mean_p.append(float((cross * 1j * (a - b) / (4.0 * sigma**2)).sum().real) / probability)
     return probability, np.array(mean_x), np.array(mean_p)
+
+
+def consistent_pointer_rows(
+    stages: list[np.ndarray],
+    pre: np.ndarray,
+    pointers: list[tuple[str, int, float]],
+    pol_dim: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """System rows and shifts of the longhand 2**N split that can carry amplitude.
+
+    ``pointers`` holds one ``(arm, boundary, g)`` per pointer.  At each
+    boundary every coupling, in the given order, splits every row into the
+    rest and its arm component, which carries the shift ``g``; each stage
+    then multiplies the whole stack as one product.  A row is kept, in
+    split order, when at each boundary its shifted pointers are none or all
+    of one arm's pointers there.  Every other row projects onto two
+    distinct arms, or onto an arm and its complement, and is exactly 0.
+    """
+    n, dim = len(pointers), len(pre)
+    systems, hits = pre[None, :].copy(), np.zeros((1, n), dtype=bool)
+    for boundary in range(len(stages) + 1):
+        for k, (arm, at, _) in enumerate(pointers):
+            if at != boundary:
+                continue
+            on_arm = np.zeros(dim)
+            on_arm[ARMS.index(arm) * pol_dim : (ARMS.index(arm) + 1) * pol_dim] = 1.0
+            hit = systems * on_arm
+            systems = np.stack([systems - hit, hit], axis=1).reshape(-1, dim)
+            hits = np.stack([hits, hits], axis=1).reshape(-1, n)
+            hits[1::2, k] = True
+        if boundary < len(stages):
+            systems = systems @ stages[boundary].T
+    keep = []
+    for row in hits:
+        consistent = True
+        for boundary in range(len(stages) + 1):
+            here = [k for k, (_, at, _) in enumerate(pointers) if at == boundary]
+            fired = {k for k in here if row[k]}
+            arms = {pointers[k][0] for k in fired}
+            if fired and (len(arms) > 1 or fired != {k for k in here if pointers[k][0] in arms}):
+                consistent = False
+        keep.append(consistent)
+    assert not systems[~np.array(keep)].any(), "a dropped row carries amplitude"
+    shifts = np.where(hits, [g for *_, g in pointers], 0.0)
+    return systems[keep], shifts[keep]
 
 
 def basis_vector(basis, arm: str, pol: str | None = None) -> np.ndarray:
