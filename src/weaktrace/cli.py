@@ -15,9 +15,9 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .evolution import postselect_probability
 from .scendsl import (
@@ -63,14 +63,40 @@ def format_complex(value: complex) -> str:
     return f"{re_text}{'+' if im_part > 0 else '-'}{im_text}"
 
 
-def _json_ready(obj):
+def _json_text(obj, newline: str = "\n") -> str:
+    """``obj`` as ``json.dumps(..., indent=2)`` writes it, each float through ``_round15``.
+
+    NaN and infinities are written as ``null``; ``newline`` is the line
+    break plus the indent of ``obj``'s own line.  A plain recursive function,
+    unlike the stdlib's indenting encoder, leaves no reference cycles.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
     if isinstance(obj, float):
-        return None if math.isnan(obj) or math.isinf(obj) else _round15(obj)
+        if not math.isfinite(obj):
+            return "null"
+        obj = _round15(obj)  # 15 digits of the largest floats round to inf, as json writes it
+        return float.__repr__(obj) if math.isfinite(obj) else "-Infinity" if obj < 0 else "Infinity"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = newline + "  "
     if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        items = [_json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _fitted_order(order: float) -> float | str:
@@ -267,7 +293,7 @@ def execute(argv: list[str] | None = None) -> int:
         ident = {"name": scenario.name or "<unnamed>", "sha256": digest[:12]}
         document, lines = ns.func(ns, scenario, ident)
         if ns.format == "json":
-            lines = [json.dumps(_json_ready(document), indent=2)]
+            lines = [_json_text(document)]
         print("\n".join(lines))
         return 0
     except (ScenarioParseError, OSError, ValueError, IndexError) as exc:

@@ -83,7 +83,10 @@ class ElementSpec:
         elif len(self.operands) != 1:
             raise ValueError(f"{self.kind} takes a single arm, got {self.operands}")
         n_angles = 0 if self.kind == "mirror" else 1
-        finite = all(isinstance(p, numbers.Real) and math.isfinite(p) for p in self.parameters)
+        finite = all(
+            (type(p) is float or isinstance(p, numbers.Real)) and math.isfinite(p)
+            for p in self.parameters
+        )
         if len(self.parameters) != n_angles or not finite:
             raise ValueError(
                 f"{self.kind} takes {n_angles} finite real angle(s), got {self.parameters}"

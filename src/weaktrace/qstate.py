@@ -12,6 +12,7 @@ finiteness; the pipeline itself works on a scenario's arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -79,13 +80,17 @@ class BasisDescriptor:
             raise UnknownLabelError(f"unknown polarization {pol!r}")
         return arm_i * 2 + POLARIZATION_AXES.index(pol)
 
+    @cached_property
+    def _arm_ranges(self) -> dict[str, range]:
+        p = self.pol_dim
+        return {arm: range(i * p, i * p + p) for i, arm in enumerate(self.path_modes)}
+
     def arm_indices(self, arm: str) -> range:
         """All flat indices belonging to one arm (1 or 2 entries)."""
-        if arm not in self.path_modes:
-            raise UnknownLabelError(f"unknown arm {arm!r}")
-        arm_i = self.path_modes.index(arm)
-        p = self.pol_dim
-        return range(arm_i * p, arm_i * p + p)
+        try:
+            return self._arm_ranges[arm]
+        except KeyError:
+            raise UnknownLabelError(f"unknown arm {arm!r}") from None
 
     def labels(self) -> Iterator[tuple[str, str | None]]:
         """Yield ``(arm, pol)`` pairs in basis order (pol is None when disabled)."""

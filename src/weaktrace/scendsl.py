@@ -38,6 +38,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
+from collections.abc import Collection
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NoReturn
@@ -77,7 +78,7 @@ def _check_normalized(role: str, state: StateVector) -> Diagnostic | None:
     return None
 
 
-def _check_adjacency_end(end: str, arms: tuple[str, ...]) -> Diagnostic | None:
+def _check_adjacency_end(end: str, arms: Collection[str]) -> Diagnostic | None:
     if end not in arms and end not in SENTINELS:
         return Diagnostic("adjacency", f"adjacency references unknown arm {end!r}")
     return None
@@ -271,6 +272,7 @@ class _Parser:
         # Where a missing directive is reported: column 1 of the last line.
         self.tail: _Row = (text.count("\n") + 1, "", [""])
         self.modes: tuple[str, ...] | None = None
+        self.arms: frozenset[str] = frozenset()  # the modes, for membership tests
         self.polarization: bool | None = None
         self.basis: BasisDescriptor | None = None
         self.preselect: StateVector | None = None
@@ -304,11 +306,10 @@ class _Parser:
 
     def run(self) -> Scenario:
         for row in self.rows:
-            head = row[2][0]
-            handler = getattr(self, f"_directive_{head}", None)
+            handler = _DIRECTIVES.get(row[2][0])
             if handler is None:
-                _fail(f"unknown directive {head!r}", row)
-            handler(row)
+                _fail(f"unknown directive {row[2][0]!r}", row)
+            handler(self, row)
         if self.modes is None:
             _fail("missing modes declaration", self.tail)
         if self.preselect is None:
@@ -334,6 +335,7 @@ class _Parser:
         if len(row[2]) < 2:
             _fail("modes expects at least one label", row)
         self.modes = tuple(self.label("arm", row, k) for k in range(1, len(row[2])))
+        self.arms = frozenset(self.modes)
 
     def _directive_polarization(self, row: _Row) -> None:
         (arg,) = self.args(row, 1)
@@ -373,7 +375,7 @@ class _Parser:
 
     def _arm_word(self, row: _Row, k: int) -> str:
         word = row[2][k]
-        if self.modes is None or word not in self.modes:
+        if word not in self.arms:
             _fail(f"unknown arm {word!r}", row, k)
         return word
 
@@ -416,9 +418,17 @@ class _Parser:
     def _directive_adjacency(self, row: _Row) -> None:
         a, b = self.args(row, 2)
         for k in (1, 2):
-            self.check(_check_adjacency_end(row[2][k], self.modes or ()), row, k)
+            self.check(_check_adjacency_end(row[2][k], self.arms), row, k)
         self.check(_check_self_edge(a, b), row, 1)
         self.adjacency.append((a, b))
+
+
+#: Each directive word's handler: ``_Parser._directive_<word>``.
+_DIRECTIVES = {
+    name.removeprefix("_directive_"): handler
+    for name, handler in vars(_Parser).items()
+    if name.startswith("_directive_")
+}
 
 
 def parse_scenario(text: str, name: str = "") -> Scenario:

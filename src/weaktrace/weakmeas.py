@@ -180,10 +180,10 @@ def _arm_slice(basis: BasisDescriptor, arm: str) -> slice:
     return slice(indices.start, indices.stop)
 
 
-def _result(arm: str | None, boundary: int, bwd_row, observed, fwd_row) -> WeakValueResult:
-    """``<bwd_row|observed> / <bwd_row|fwd_row>``; raises if non-finite or degenerate."""
-    numerator = complex(np.vdot(bwd_row, observed))
-    denominator = complex(np.vdot(bwd_row, fwd_row))
+def _result(
+    arm: str | None, boundary: int, numerator: complex, denominator: complex
+) -> WeakValueResult:
+    """``numerator / denominator``; raises if either is non-finite or the denominator degenerate."""
     if not (cmath.isfinite(numerator) and cmath.isfinite(denominator)):
         raise ValueError("non-finite inner product")
     if abs(denominator) <= EPSILON_DENOMINATOR:
@@ -205,7 +205,8 @@ def weak_value(scenario: Scenario, observable: Operator, boundary: int) -> WeakV
     _require_same_basis(observable.basis, scenario.basis)
     b = scenario.check_boundary(boundary)
     fwd, bwd = scenario.boundary_states
-    return _result(None, b, bwd[b], observable.matrix @ fwd[b], fwd[b])
+    numerator = complex(np.vdot(bwd[b], observable.matrix @ fwd[b]))
+    return _result(None, b, numerator, complex(np.vdot(bwd[b], fwd[b])))
 
 
 def arm_weak_value(scenario: Scenario, arm: str, boundary: int | None = None) -> WeakValueResult:
@@ -219,12 +220,31 @@ def arm_weak_value(scenario: Scenario, arm: str, boundary: int | None = None) ->
     fwd, bwd = scenario.boundary_states
     observed = np.zeros_like(fwd[b])
     observed[on_arm] = fwd[b][on_arm]
-    return _result(arm, b, bwd[b], observed, fwd[b])
+    numerator = complex(np.vdot(bwd[b], observed))
+    return _result(arm, b, numerator, complex(np.vdot(bwd[b], fwd[b])))
 
 
 def weak_value_table(scenario: Scenario) -> tuple[WeakValueResult, ...]:
-    """``arm_weak_value`` at every canonical (arm, boundary) slot, boundaries checked."""
-    return tuple(arm_weak_value(scenario, arm, b) for arm, b in scenario.canonical_slots())
+    """``arm_weak_value`` at every canonical (arm, boundary) slot, boundaries checked.
+
+    Each slot's numerator is the same ``vdot`` on a row of one zeroed
+    buffer, and each boundary's denominator is computed once.  Slots are
+    checked in order, so the first failing slot raises what
+    ``arm_weak_value`` raises for it.
+    """
+    slots = scenario.canonical_slots()
+    fwd, bwd = scenario.boundary_states
+    observed = np.zeros((len(slots), fwd.shape[1]), dtype=fwd.dtype)
+    denominators: dict[int, complex] = {}
+    results = []
+    for row, (arm, boundary) in zip(observed, slots):
+        on_arm = _arm_slice(scenario.basis, arm)
+        b = scenario.check_boundary(boundary)
+        if b not in denominators:
+            denominators[b] = complex(np.vdot(bwd[b], fwd[b]))
+        row[on_arm] = fwd[b, on_arm]
+        results.append(_result(arm, b, complex(np.vdot(bwd[b], row)), denominators[b]))
+    return tuple(results)
 
 
 def _split_rows(
@@ -300,11 +320,12 @@ def _read_shift_sets(
 
     ``weights`` are the L live rows' post-selected weights and ``shifts``
     holds G shift sets of those rows (G x L x N).  The closed-form Gaussian
-    matrix elements include all cross-pointer overlap factors.  Every L x L
-    block is summed on its own over contiguous memory (``np.add.reduce``
-    with ``axis=None`` is what ``np.sum`` calls), as a lone readout sums it:
-    a batched reduction (over axes (1, 2), or a reshaped last axis) adds in
-    another order once L >= 3 and moves the last digit.
+    matrix elements include all cross-pointer overlap factors.  Each L x L
+    block is summed as one row of a contiguous copy of the terms, which
+    numpy adds pairwise, exactly as it adds a lone block.  The terms from
+    ``np.concatenate`` are not C-contiguous, so reshaping them directly
+    gives a strided view that numpy adds sequentially, and that moves the
+    last digit once L >= 3.
     Nothing is checked here; see ``_check_readout``.
     """
     sets, live, n = shifts.shape
@@ -319,9 +340,8 @@ def _read_shift_sets(
         centers = (per_pointer + per_pointer.transpose(0, 1, 3, 2)) / 2.0
         momenta = 1j * diff.transpose(0, 3, 1, 2) / quarter[:, None, None]
         terms = np.concatenate((cross, cross * centers, cross * momenta), axis=1)
-        blocks = terms.reshape(sets * (1 + 2 * n), live, live)
-        sums = np.array([np.add.reduce(block, axis=None) for block in blocks]).real
-        sums = sums.reshape(sets, 1 + 2 * n)
+        blocks = np.ascontiguousarray(terms).reshape(sets * (1 + 2 * n), live * live)
+        sums = np.add.reduce(blocks, axis=1).real.reshape(sets, 1 + 2 * n)
         probability = sums[:, 0]
         means = sums[:, 1:] / probability[:, None]
     return probability, means[:, :n], means[:, n:]

@@ -1,6 +1,10 @@
+import random
+import sys
+from pathlib import Path
+
 import pytest
 
-from weaktrace import builtin_scenario
+from weaktrace import builtin_scenario, parse_scenario
 
 
 @pytest.fixture(scope="session")
@@ -11,3 +15,23 @@ def fig1():
 @pytest.fixture(scope="session")
 def fig2():
     return builtin_scenario("fig2")
+
+
+@pytest.fixture(scope="session")
+def chains():
+    """The generated benchmark chains with k = 1..7 loops, polarization off and on, parsed."""
+    # scengen imports bench/oracle.py while it draws a chain, so bench stays
+    # importable until every chain is drawn.
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    try:
+        import scengen
+
+        rng = random.Random(14)
+        specs = [
+            scengen.chain(rng, k, pol, f"chain{k}{'p' if pol else ''}")
+            for k in range(1, 8)
+            for pol in (False, True)
+        ]
+    finally:
+        del sys.path[0]
+    return [parse_scenario(spec.text(), name=spec.name) for spec in specs]

@@ -8,17 +8,22 @@ couples pointers longhand and sums the closed-form overlaps over every
 branch, with no branch skipped; a third splits every row once per pointer
 and keeps the rows that can carry amplitude, to compare row for row.  The
 scenario-text references are the regex tokenizer and the ``Fraction``
-angle formatter that ``scendsl`` replaced.
+angle formatter that ``scendsl`` replaced.  The readout kernel's reference
+sums each L x L block on its own, and the JSON reference is the stdlib's
+``json.dumps(..., indent=2)`` over rounded copies, both as ``weakmeas`` and
+``cli`` did before they replaced them.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from fractions import Fraction
 
 import numpy as np
 
+from weaktrace.cli import _round15
 from weaktrace.scendsl import parse_angle
 
 ARMS = ("S", "A", "B", "C", "D", "E", "F")
@@ -376,3 +381,40 @@ def format_angle_reference(value: float) -> str:
         if parse_angle(token) == value:
             return token
     return repr(value)
+
+
+def read_shift_sets_reference(
+    weights: np.ndarray, shifts: np.ndarray, widths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``weakmeas._read_shift_sets`` with each L x L block summed by its own ``np.add.reduce``."""
+    sets, live, n = shifts.shape
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        quarter = 4.0 * widths**2
+        diff = shifts[:, :, None, :] - shifts[:, None, :, :]
+        log_overlap = np.add.reduce(diff**2 / (-2.0 * quarter), axis=-1)
+        cross = (np.conj(weights)[:, None] * weights[None, :] * np.exp(log_overlap))[:, None]
+        per_pointer = shifts.transpose(0, 2, 1)[..., None]
+        centers = (per_pointer + per_pointer.transpose(0, 1, 3, 2)) / 2.0
+        momenta = 1j * diff.transpose(0, 3, 1, 2) / quarter[:, None, None]
+        terms = np.concatenate((cross, cross * centers, cross * momenta), axis=1)
+        blocks = terms.reshape(sets * (1 + 2 * n), live, live)
+        sums = np.array([np.add.reduce(block, axis=None) for block in blocks]).real
+        sums = sums.reshape(sets, 1 + 2 * n)
+        probability = sums[:, 0]
+        means = sums[:, 1:] / probability[:, None]
+    return probability, means[:, :n], means[:, n:]
+
+
+def _json_ready(obj):
+    if isinstance(obj, float):
+        return None if math.isnan(obj) or math.isinf(obj) else _round15(obj)
+    if isinstance(obj, dict):
+        return {k: _json_ready(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_ready(v) for v in obj]
+    return obj
+
+
+def json_reference(document) -> str:
+    """The CLI's JSON text: floats rounded to 15 digits, non-finite ones ``null``."""
+    return json.dumps(_json_ready(document), indent=2)

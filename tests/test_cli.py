@@ -11,14 +11,20 @@ The ``sweep-D`` and ``sweep-E`` files were written before a sweep read all
 its strengths in one readout call.
 """
 
+import gc
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from weaktrace.cli import build_parser, execute
+from weaktrace.cli import _json_text, build_parser, execute
 from weaktrace.scendsl import builtin_scenario, serialize_scenario
+
+from oracles import json_reference
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -161,3 +167,79 @@ def test_file_and_stdin_give_one_answer(text, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
     assert (code, out.replace(str(path), "<stdin>"), err) == _run(["validate", "-"], capsys)
     assert code == 0
+
+
+def _edge_floats() -> list[float]:
+    """Non-finite values, signed zeros, the display floor and its neighbours, and the extremes."""
+    floor = [
+        x
+        for v in (1e-12, -1e-12)
+        for x in (v, math.nextafter(v, 0.0), math.nextafter(v, math.copysign(math.inf, v)))
+    ]
+    subnormal = [5e-324, -5e-324, 1e-310]
+    large = [1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]
+    return [math.nan, math.inf, -math.inf, 0.0, -0.0, *floor, *subnormal, *large]
+
+
+_JSON_STRINGS = st.text() | st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "é", "\ud83d"]
+)
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from(_edge_floats())
+    | _JSON_STRINGS
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(_JSON_STRINGS, children),
+    max_leaves=30,
+)
+
+
+@given(_JSON_VALUES)
+@settings(max_examples=200, deadline=None)
+def test_json_writer_matches_stdlib_bytes(value):
+    assert _json_text(value) == json_reference(value)
+
+
+def test_json_writer_matches_stdlib_on_every_command(fig1, fig2, chains):
+    for scenario in [fig1, fig2, *chains]:
+        arm = scenario.canonical_slots()[0][0]
+        ident = {"name": scenario.name, "sha256": "0" * 12}
+        for argv in (
+            ["weakvalues", "-"],
+            ["trace", "-"],
+            ["trace", "-", "--threshold", "0.4"],
+            ["validate", "-"],
+            ["sweep", "-", "--arm", arm, "--g", "0.5,0.1,0.01,0"],
+        ):
+            ns = build_parser().parse_args(argv)
+            document, _ = ns.func(ns, scenario, ident)
+            assert _json_text(document) == json_reference(document), (scenario.name, argv)
+
+
+def test_json_answers_leave_no_cycle_garbage(capsys):
+    """The stdlib's indenting encoder left 33 cyclic objects per answer for the collector."""
+    commands = {
+        "weakvalues": ["weakvalues", "fig1"],
+        "trace": ["trace", "fig2"],
+        "sweep": ["sweep", "fig1", "--arm", "B", "--g", "0.5,0.1"],
+        "validate": ["validate", "fig2"],
+    }
+    for name, argv in commands.items():
+        argv = argv + ["--format", "json"]
+        assert execute(argv) == 0  # first use builds the parser and fills caches
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(100):
+                execute(argv)
+            assert gc.collect() == 0, name
+        finally:
+            gc.enable()
+        capsys.readouterr()

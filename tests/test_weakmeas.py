@@ -1,12 +1,13 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from weaktrace.cli import execute
-from weaktrace.evolution import BoundaryError, forward_state
+from weaktrace.evolution import BoundaryError, Slot, forward_state
 from weaktrace.optics import arm_projector
 from weaktrace.qstate import ATOL, inner
 from weaktrace.scendsl import parse_scenario
@@ -14,6 +15,7 @@ from weaktrace.weakmeas import (
     DegeneratePostselectionError,
     PointerSpec,
     UndefinedReadoutError,
+    _read_shift_sets,
     arm_weak_value,
     couple_pointers,
     postselect_and_readout,
@@ -30,6 +32,7 @@ from oracles import (
     fig2_states,
     full_sum_pointer_readout,
     grid_pointer_readout,
+    read_shift_sets_reference,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -84,6 +87,15 @@ class TestWeakValue:
                     result.numerator, abs=ATOL
                 )
                 assert abs(result.denominator) > 0
+
+    def test_table_equals_arm_weak_value_per_slot(self, fig1, fig2, chains):
+        # A True slot boundary is checked to 1 and reads row 1, not a boolean index.
+        bool_slot = replace(fig1, coupling_slots=(Slot("A", True), Slot("B", 2)))
+        for scenario in [fig1, fig2, *chains, bool_slot]:
+            slots = scenario.canonical_slots()
+            expected = tuple(arm_weak_value(scenario, arm, b) for arm, b in slots)
+            assert weak_value_table(scenario) == expected, scenario.name
+        assert weak_value_table(bool_slot)[0] == arm_weak_value(fig1, "A", 1)
 
     def test_complex_weak_value(self, phase_scenario):
         result = arm_weak_value(phase_scenario, "Q")
@@ -492,12 +504,36 @@ class TestWeakLimitSweep:
 DEGENERATE_TEXT = "modes A B\npreselect 1@A\npostselect 1@B\n"
 
 
-def test_degenerate_postselection_table_rejected():
+def test_degenerate_postselection_table_rejected(fig1):
+    message = "post-selection amplitude 0.000e+00 below 1e-10; weak value undefined"
     scenario = parse_scenario(DEGENERATE_TEXT)
-    with pytest.raises(DegeneratePostselectionError):
+    with pytest.raises(DegeneratePostselectionError) as table_error:
         weak_value_table(scenario)
-    with pytest.raises(DegeneratePostselectionError):
+    with pytest.raises(DegeneratePostselectionError) as slot_error:
         arm_weak_value(scenario, "A")
+    assert str(table_error.value) == str(slot_error.value) == message
+    out_of_range = replace(fig1, coupling_slots=(Slot("B", 2), Slot("A", 9)))
+    with pytest.raises(BoundaryError) as table_error:
+        weak_value_table(out_of_range)
+    with pytest.raises(BoundaryError) as slot_error:
+        arm_weak_value(out_of_range, "A", 9)
+    assert str(table_error.value) == str(slot_error.value) == "boundary 9 out of range 0..3"
+
+
+@pytest.mark.parametrize("sets", [1, 2, 3, 4])
+def test_readout_kernel_equals_block_by_block_sums(sets):
+    """One reduction over a contiguous copy adds each block as a lone block is added."""
+    rng = np.random.default_rng(sets)
+    for n in range(1, 15):
+        for live in range(1, 8):
+            weights = rng.normal(size=live) + 1j * rng.normal(size=live)
+            hits = rng.random((1, live, n)) < 0.5
+            shifts = np.where(hits, rng.uniform(0.01, 1.0, (sets, 1, 1)), 0.0)
+            widths = rng.uniform(0.5, 2.0, n)
+            got = _read_shift_sets(weights, shifts, widths)
+            expected = read_shift_sets_reference(weights, shifts, widths)
+            for a, b in zip(got, expected, strict=True):
+                assert a.shape == b.shape and (a == b).all(), (sets, n, live)
 
 
 @pytest.mark.parametrize("width", [1e-200, 1e-160])
