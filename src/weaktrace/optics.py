@@ -84,8 +84,7 @@ class ElementSpec:
             raise ValueError(f"{self.kind} takes a single arm, got {self.operands}")
         n_angles = 0 if self.kind == "mirror" else 1
         finite = all(
-            (type(p) is float or isinstance(p, numbers.Real)) and math.isfinite(p)
-            for p in self.parameters
+            isinstance(p, (float, numbers.Real)) and math.isfinite(p) for p in self.parameters
         )
         if len(self.parameters) != n_angles or not finite:
             raise ValueError(

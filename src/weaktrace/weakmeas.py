@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -209,30 +210,15 @@ def weak_value(scenario: Scenario, observable: Operator, boundary: int) -> WeakV
     return _result(None, b, numerator, complex(np.vdot(bwd[b], fwd[b])))
 
 
-def arm_weak_value(scenario: Scenario, arm: str, boundary: int | None = None) -> WeakValueResult:
-    """Weak value of an arm projector, at its canonical boundary by default."""
-    if boundary is None:
-        boundary = dict(scenario.canonical_slots()).get(arm)
-        if boundary is None:
-            raise ValueError(f"arm {arm!r} has no canonical coupling slot")
-    on_arm = _arm_slice(scenario.basis, arm)
-    b = scenario.check_boundary(boundary)
-    fwd, bwd = scenario.boundary_states
-    observed = np.zeros_like(fwd[b])
-    observed[on_arm] = fwd[b][on_arm]
-    numerator = complex(np.vdot(bwd[b], observed))
-    return _result(arm, b, numerator, complex(np.vdot(bwd[b], fwd[b])))
-
-
-def weak_value_table(scenario: Scenario) -> tuple[WeakValueResult, ...]:
-    """``arm_weak_value`` at every canonical (arm, boundary) slot, boundaries checked.
+def _arm_results(
+    scenario: Scenario, slots: Sequence[tuple[str, int]]
+) -> tuple[WeakValueResult, ...]:
+    """Each (arm, boundary) slot's arm-projector weak value, boundaries checked.
 
     Each slot's numerator is the same ``vdot`` on a row of one zeroed
     buffer, and each boundary's denominator is computed once.  Slots are
-    checked in order, so the first failing slot raises what
-    ``arm_weak_value`` raises for it.
+    checked in order, so the first failing slot raises.
     """
-    slots = scenario.canonical_slots()
     fwd, bwd = scenario.boundary_states
     observed = np.zeros((len(slots), fwd.shape[1]), dtype=fwd.dtype)
     denominators: dict[int, complex] = {}
@@ -245,6 +231,20 @@ def weak_value_table(scenario: Scenario) -> tuple[WeakValueResult, ...]:
         row[on_arm] = fwd[b, on_arm]
         results.append(_result(arm, b, complex(np.vdot(bwd[b], row)), denominators[b]))
     return tuple(results)
+
+
+def arm_weak_value(scenario: Scenario, arm: str, boundary: int | None = None) -> WeakValueResult:
+    """Weak value of an arm projector, at its canonical boundary by default."""
+    if boundary is None:
+        boundary = dict(scenario.canonical_slots()).get(arm)
+        if boundary is None:
+            raise ValueError(f"arm {arm!r} has no canonical coupling slot")
+    return _arm_results(scenario, ((arm, boundary),))[0]
+
+
+def weak_value_table(scenario: Scenario) -> tuple[WeakValueResult, ...]:
+    """``arm_weak_value`` at every canonical (arm, boundary) slot, in slot order."""
+    return _arm_results(scenario, scenario.canonical_slots())
 
 
 def _split_rows(

@@ -522,18 +522,23 @@ def test_degenerate_postselection_table_rejected(fig1):
 
 @pytest.mark.parametrize("sets", [1, 2, 3, 4])
 def test_readout_kernel_equals_block_by_block_sums(sets):
-    """One reduction over a contiguous copy adds each block as a lone block is added."""
+    """One reduction over a contiguous copy adds each block as a lone block is added.
+
+    L up to 7 keeps a block within numpy's unrolled pairwise leaf (128
+    terms); L 12-40 with N 1-3 reaches its recursive branch.
+    """
     rng = np.random.default_rng(sets)
-    for n in range(1, 15):
-        for live in range(1, 8):
-            weights = rng.normal(size=live) + 1j * rng.normal(size=live)
-            hits = rng.random((1, live, n)) < 0.5
-            shifts = np.where(hits, rng.uniform(0.01, 1.0, (sets, 1, 1)), 0.0)
-            widths = rng.uniform(0.5, 2.0, n)
-            got = _read_shift_sets(weights, shifts, widths)
-            expected = read_shift_sets_reference(weights, shifts, widths)
-            for a, b in zip(got, expected, strict=True):
-                assert a.shape == b.shape and (a == b).all(), (sets, n, live)
+    small = [(n, live) for n in range(1, 15) for live in range(1, 8)]
+    large = [(n, live) for n in range(1, 4) for live in (12, 13, 16, 23, 31, 40)]
+    for n, live in small + large:
+        weights = rng.normal(size=live) + 1j * rng.normal(size=live)
+        hits = rng.random((1, live, n)) < 0.5
+        shifts = np.where(hits, rng.uniform(0.01, 1.0, (sets, 1, 1)), 0.0)
+        widths = rng.uniform(0.5, 2.0, n)
+        got = _read_shift_sets(weights, shifts, widths)
+        expected = read_shift_sets_reference(weights, shifts, widths)
+        for a, b in zip(got, expected, strict=True):
+            assert a.shape == b.shape and (a == b).all(), (sets, n, live)
 
 
 @pytest.mark.parametrize("width", [1e-200, 1e-160])
