@@ -43,10 +43,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _round15(x: float) -> float:
+    """``x`` at 15 significant digits, 0 at or below ``ZERO_DISPLAY``; finite stays finite.
+
+    The largest floats round up past the float range, so they take their
+    15-digit neighbour toward zero instead of printing as ``inf``.
+    """
     x = float(x)
     if abs(x) <= ZERO_DISPLAY:
         return 0.0
-    return float(format(x, ".15g"))
+    rounded = float(format(x, ".15g"))
+    if math.isinf(rounded) and math.isfinite(x):
+        return math.copysign(1.79769313486231e308, x)
+    return rounded
 
 
 def format_complex(value: complex) -> str:
@@ -75,8 +83,7 @@ def _json_text(obj, newline: str = "\n") -> str:
     if isinstance(obj, float):
         if not math.isfinite(obj):
             return "null"
-        obj = _round15(obj)  # 15 digits of the largest floats round to inf, as json writes it
-        return float.__repr__(obj) if math.isfinite(obj) else "-Infinity" if obj < 0 else "Infinity"
+        return float.__repr__(_round15(obj))
     if obj is None:
         return "null"
     if obj is True:

@@ -30,8 +30,10 @@ Neither the system rows nor which pointers each row carries depend on any
 strength; a strength enters only the shifts.  So the rows are coupled once
 into the rows plus a B x N hit mask, and one readout kernel reads a stack
 of G shift sets (G x L x N) against the same live weights.  A coupling
-reads one set; a sweep couples its pointer once and reads every strength
-in one kernel call.
+reads one set.  A sweep has one pointer, so it needs no rows at all: its
+two branch weights are the two-state amplitudes at the pointer's boundary,
+``<bwd|Pi|fwd>`` (the weak value's numerator) on the arm and ``<bwd|fwd>``
+with the arm zeroed off it, and one kernel call reads every strength.
 
 In the weak limit the post-selected position shift approaches
 ``g * Re(weak value)``; the momentum shift approaches
@@ -250,7 +252,7 @@ def weak_value_table(scenario: Scenario) -> tuple[WeakValueResult, ...]:
 def _split_rows(
     scenario: Scenario, specs: tuple[PointerSpec, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The coupled rows (B x d) and which pointers each row carries (B x N, bool).
+    """A coupling's rows (B x d) and which pointers each row carries (B x N, bool).
 
     At each boundary every row splits into its part off the coupled arms,
     then one part per distinct coupled arm, carrying all that arm's pointers
@@ -258,7 +260,8 @@ def _split_rows(
     are, in order, the rows of one doubling per pointer that do not project
     onto two arms, or an arm and its complement, at one boundary (those are
     exactly 0); each stage product is a ``gemm`` on at least 2 rows after a
-    split, so the kept rows match bit for bit.  No strength enters.
+    split, so the kept rows match bit for bit.  No strength enters.  A
+    sweep's one pointer needs no rows; see ``weak_limit_sweep``.
     """
     arms: list[dict[str, list[int]]] = [{} for _ in range(scenario.n_boundaries)]
     for k, spec in enumerate(specs):
@@ -404,10 +407,17 @@ def weak_limit_sweep(
     ``g_values`` must be strictly descending and nonnegative, with at least
     one positive entry to fit; a final zero records the uncoupled baseline
     (shift exactly 0, probability P(0)) and is excluded from the fits.
-    ``pointer.strength`` is not used.  The rows are coupled once, since no
-    row depends on the strength, and one readout kernel call reads the G
-    strengths as G shift sets; each entry equals a separate
-    ``couple_pointers`` and ``postselect_and_readout`` at its strength.
+    ``pointer.strength`` is not used.  The two branch weights are read at
+    the pointer's boundary from ``scenario.boundary_states``: on the arm the
+    weak value's own numerator, off it ``<bwd|fwd>`` with the arm's entries
+    zeroed.  So a null weak value is a null on-arm weight, and a null arm's
+    deviation falls as g**2 instead of sitting at a roundoff floor.  One
+    readout kernel call reads the G strengths as G shift sets.  A separate
+    ``couple_pointers`` and ``postselect_and_readout`` at a strength forms
+    the same two weights from rows evolved past the boundary, a different
+    order of the same unitary products, so each entry matches it to within
+    1e-15, not bit for bit (checked on fig1, fig2 and the benchmark chains
+    at every arm and boundary).
     """
     gs = [float(g) for g in g_values]
     if any(g < 0.0 for g in gs):
@@ -418,10 +428,19 @@ def weak_limit_sweep(
         raise ValueError("coupling strengths need at least one positive value")
     analytic = arm_weak_value(scenario, pointer.arm, pointer.boundary)
     p_zero = abs(analytic.denominator) ** 2
-    systems, hits = _split_rows(scenario, (pointer,))
-    weights, live = _live_weights(systems, scenario.postselect)
+    fwd, bwd = scenario.boundary_states
+    b = analytic.boundary
+    off = fwd[b].copy()
+    off[_arm_slice(scenario.basis, pointer.arm)] = 0.0
+    off_weight = complex(np.vdot(bwd[b], off))
+    if not cmath.isfinite(off_weight):
+        raise ValueError("non-finite inner product")
+    # The rows of one pointer's split, off the arm then on it.
+    weights = np.array([off_weight, analytic.numerator])
+    live = weights != 0.0
+    hits = np.array([[False], [True]])
     shifts = _shifts(hits[live][None], np.array(gs)[:, None, None])
-    readouts = _read_shift_sets(weights, shifts, np.array([pointer.width]))
+    readouts = _read_shift_sets(weights[live], shifts, np.array([pointer.width]))
     entries = []
     for g, probability, mean_x, mean_p in zip(gs, *(a.tolist() for a in readouts)):
         # Each strength is checked where a lone coupling at it would be.

@@ -8,7 +8,12 @@ change to a printed digit shows up here as a byte difference.  The one
 later edit is ``fitted_shift_order`` in ``fig1-sweep-B.json``, from
 ``null`` to ``"exact"`` when JSON began to name non-numeric fitted orders.
 The ``sweep-D`` and ``sweep-E`` files were written before a sweep read all
-its strengths in one readout call.
+its strengths in one readout call.  Three were re-pinned when a sweep
+began to take its two branch weights from the two-state rows, the on-arm
+one being the weak value's own numerator: the deviation columns of
+``fig1-sweep-D.txt`` and ``fig2-sweep-D.txt`` (a null arm's deviation now
+falls as g**2 instead of sitting at a roundoff floor) and six last digits
+of ``fig2-sweep-B.json``, all within ``ATOL``.
 """
 
 import gc
@@ -118,6 +123,24 @@ def test_json_names_exact_and_unfittable_orders(capsys):
     table = capsys.readouterr().out
     assert "fitted shift order: exact" in table
     assert "fitted disturbance order: not fittable" in table
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_largest_finite_float_prints_finite(capsys):
+    # 15 digits of the largest float round past the float range.
+    argv = ["sweep", "fig1", "--arm", "B", "--g", "0.1", "--sigma", "1.7976931348623157e308"]
+    assert execute(argv + ["--format", "json"]) == 0
+    out = capsys.readouterr().out
+    (sweep,) = json.loads(out, parse_constant=_no_constant)["sweeps"]
+    assert '"sigma": 1.79769313486231e+308,' in out
+    assert sweep["sigma"] == 1.79769313486231e308
+    assert execute(argv) == 0
+    table = capsys.readouterr().out
+    assert "sigma 1.79769e+308," in table
+    assert "inf" not in table
 
 
 def _run(argv, capsys):
