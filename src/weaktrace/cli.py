@@ -106,6 +106,10 @@ def _json_text(obj, newline: str = "\n") -> str:
     raise TypeError(f"object of type {type(obj).__name__} is not JSON serializable")
 
 
+#: Why a fitted order is the word ``_fitted_order`` writes for it; the sweep table adds it.
+_ORDER_REASONS = {"exact": "errors below numerical floor", "not fittable": "single data point"}
+
+
 def _fitted_order(order: float) -> float | str:
     """A fitted order for JSON, which has no ``inf`` or ``nan`` to tell the two cases apart."""
     if math.isinf(order):
@@ -217,11 +221,8 @@ def _cmd_sweep(ns, scenario, ident: dict) -> tuple[dict, list[str]]:
         )
 
     def order_text(order: float) -> str:
-        if math.isinf(order):
-            return "exact (errors below numerical floor)"
-        if math.isnan(order):
-            return "not fittable (single data point)"
-        return format(order, ".3f")
+        word = _fitted_order(order)
+        return f"{word} ({_ORDER_REASONS[word]})" if isinstance(word, str) else format(word, ".3f")
 
     lines.append(f"fitted shift order: {order_text(report.fitted_shift_order)}")
     lines.append(f"fitted disturbance order: {order_text(report.fitted_disturbance_order)}")

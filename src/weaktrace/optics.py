@@ -107,7 +107,7 @@ def apply_element(spec: ElementSpec, basis: BasisDescriptor, rows: np.ndarray) -
     and :func:`check_element` runs before the first write, so ``rows`` is
     unchanged when this raises.
     """
-    operand_rows = [slice(r.start, r.stop) for r in map(basis.arm_indices, spec.operands)]
+    operand_rows = [basis.arm_indices(arm) for arm in spec.operands]
     check_element(spec, basis)
     if spec.kind == "beamsplitter":
         in1, in2, out1, out2 = operand_rows
@@ -138,6 +138,5 @@ def element_operator(spec: ElementSpec, basis: BasisDescriptor) -> Operator:
 def arm_projector(basis: BasisDescriptor, arm: str) -> Operator:
     """Projector onto one arm, identity on polarization."""
     diag = np.zeros(basis.dimension, dtype=np.complex128)
-    for i in basis.arm_indices(arm):
-        diag[i] = 1.0
+    diag[basis.arm_indices(arm)] = 1.0
     return Operator(basis, np.diag(diag))

@@ -65,30 +65,30 @@ class BasisDescriptor:
     def dimension(self) -> int:
         return len(self.path_modes) * self.pol_dim
 
+    @cached_property
+    def _arm_slices(self) -> dict[str, slice]:
+        p = self.pol_dim
+        return {arm: slice(i * p, i * p + p) for i, arm in enumerate(self.path_modes)}
+
     def index(self, arm: str, pol: str | None = None) -> int:
         """Flat index of the basis element ``|arm>`` (or ``|arm, pol>``)."""
-        if arm not in self.path_modes:
+        rows = self._arm_slices.get(arm)
+        if rows is None:
             raise UnknownLabelError(f"unknown arm {arm!r}")
-        arm_i = self.path_modes.index(arm)
         if not self.polarization_enabled:
             if pol is not None:
                 raise ValueError("polarization is disabled for this basis")
-            return arm_i
+            return rows.start
         if pol is None:
             raise ValueError(f"polarization label required for arm {arm!r}")
         if pol not in POLARIZATION_AXES:
             raise UnknownLabelError(f"unknown polarization {pol!r}")
-        return arm_i * 2 + POLARIZATION_AXES.index(pol)
+        return rows.start + POLARIZATION_AXES.index(pol)
 
-    @cached_property
-    def _arm_ranges(self) -> dict[str, range]:
-        p = self.pol_dim
-        return {arm: range(i * p, i * p + p) for i, arm in enumerate(self.path_modes)}
-
-    def arm_indices(self, arm: str) -> range:
-        """All flat indices belonging to one arm (1 or 2 entries)."""
+    def arm_indices(self, arm: str) -> slice:
+        """One arm's flat indices as a slice: a contiguous run of 1 or 2, arm-major."""
         try:
-            return self._arm_ranges[arm]
+            return self._arm_slices[arm]
         except KeyError:
             raise UnknownLabelError(f"unknown arm {arm!r}") from None
 
@@ -102,12 +102,13 @@ class BasisDescriptor:
                 yield arm, None
 
 
-def _as_amplitude_array(values, dim: int) -> np.ndarray:
+def _frozen_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A read-only complex copy of ``values``; raises unless it has ``shape`` and is finite."""
     arr = np.asarray(values, dtype=np.complex128)
-    if arr.ndim != 1 or arr.shape[0] != dim:
-        raise DimensionError(f"expected {dim} amplitudes, got shape {arr.shape}")
+    if arr.shape != shape:
+        raise DimensionError(f"expected shape {shape}, got {arr.shape}")
     if not np.isfinite(arr).all():
-        raise ValueError("non-finite amplitude")
+        raise ValueError(f"non-finite {what}")
     arr = arr.copy()
     arr.setflags(write=False)
     return arr
@@ -126,9 +127,8 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "amplitudes", _as_amplitude_array(self.amplitudes, self.basis.dimension)
-        )
+        dim = self.basis.dimension
+        object.__setattr__(self, "amplitudes", _frozen_array(self.amplitudes, (dim,), "amplitude"))
 
     def norm(self) -> float:
         """Euclidean norm; ``inf`` when finite amplitudes are too large to square."""
@@ -148,15 +148,8 @@ class Operator:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=np.complex128)
         dim = self.basis.dimension
-        if mat.shape != (dim, dim):
-            raise DimensionError(f"expected {dim}x{dim} matrix, got {mat.shape}")
-        if not np.isfinite(mat).all():
-            raise ValueError("non-finite matrix entry")
-        mat = mat.copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", _frozen_array(self.matrix, (dim, dim), "matrix entry"))
 
 
 def is_unitary_matrix(mat: np.ndarray) -> bool:

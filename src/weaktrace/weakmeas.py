@@ -177,12 +177,6 @@ class SweepReport:
     fitted_disturbance_order: float
 
 
-def _arm_slice(basis: BasisDescriptor, arm: str) -> slice:
-    """``arm``'s basis indices, one contiguous run in arm-major order."""
-    indices = basis.arm_indices(arm)
-    return slice(indices.start, indices.stop)
-
-
 def _result(
     arm: str | None, boundary: int, numerator: complex, denominator: complex
 ) -> WeakValueResult:
@@ -226,7 +220,7 @@ def _arm_results(
     denominators: dict[int, complex] = {}
     results = []
     for row, (arm, boundary) in zip(observed, slots):
-        on_arm = _arm_slice(scenario.basis, arm)
+        on_arm = scenario.basis.arm_indices(arm)
         b = scenario.check_boundary(boundary)
         if b not in denominators:
             denominators[b] = complex(np.vdot(bwd[b], fwd[b]))
@@ -254,14 +248,17 @@ def _split_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """A coupling's rows (B x d) and which pointers each row carries (B x N, bool).
 
-    At each boundary every row splits into its part off the coupled arms,
-    then one part per distinct coupled arm, carrying all that arm's pointers
-    there, in reverse order of each arm's first pointer in ``specs``.  These
-    are, in order, the rows of one doubling per pointer that do not project
-    onto two arms, or an arm and its complement, at one boundary (those are
-    exactly 0); each stage product is a ``gemm`` on at least 2 rows after a
-    split, so the kept rows match bit for bit.  No strength enters.  A
-    sweep's one pointer needs no rows; see ``weak_limit_sweep``.
+    The one row starts as the stored forward state at the first coupled
+    boundary (the final boundary when there are no pointers), read from
+    ``scenario.boundary_states``.  From there, at each boundary every row
+    splits into its part off the coupled arms, then one part per distinct
+    coupled arm, carrying all that arm's pointers there, in reverse order of
+    each arm's first pointer in ``specs``.  These are, in order, the rows of
+    one doubling per pointer that do not project onto two arms, or an arm
+    and its complement, at one boundary (those are exactly 0).  Each stage
+    product after the start is a ``gemm`` on at least 2 rows, so the kept
+    rows match bit for bit.  No strength enters.  A sweep's one pointer
+    needs no rows; see ``weak_limit_sweep``.
     """
     arms: list[dict[str, list[int]]] = [{} for _ in range(scenario.n_boundaries)]
     for k, spec in enumerate(specs):
@@ -269,15 +266,17 @@ def _split_rows(
         if spec.arm not in scenario.basis.path_modes:
             raise ValueError(f"pointer {spec.name!r} targets unknown arm {spec.arm!r}")
         arms[boundary].setdefault(spec.arm, []).append(k)
-    systems, hits = scenario.preselect.amplitudes[None, :], np.zeros((1, len(specs)), dtype=bool)
-    for boundary, coupled in enumerate(arms):
+    first = next((b for b, coupled in enumerate(arms) if coupled), len(scenario.stages))
+    systems = scenario.boundary_states[0][first][None, :]
+    hits = np.zeros((1, len(specs)), dtype=bool)
+    for boundary, coupled in enumerate(arms[first:], start=first):
         if coupled:
             rows, width = len(systems), len(coupled) + 1
             split = np.zeros((rows, width, scenario.basis.dimension), dtype=np.complex128)
             split[:, 0] = systems
             hits = np.repeat(hits[:, None], width, axis=1)
             for j, (arm, ks) in enumerate(reversed(coupled.items()), start=1):
-                on_arm = _arm_slice(scenario.basis, arm)
+                on_arm = scenario.basis.arm_indices(arm)
                 split[:, j, on_arm] = split[:, 0, on_arm]
                 split[:, 0, on_arm] = 0.0
                 hits[:, j, ks] = True
@@ -295,9 +294,13 @@ def _shifts(hits: np.ndarray, strengths: np.ndarray) -> np.ndarray:
 def couple_pointers(scenario: Scenario, pointers: list[PointerSpec]) -> PointerEnsemble:
     """Evolve the preselection with exact conditional-translation couplings.
 
-    At each boundary every row splits into its part off the coupled arms
-    (shifts kept) and one part per coupled arm, which shifts each pointer on
-    that arm by its strength; see ``_split_rows``.  Exact at all strengths.
+    The rows start from the stored forward state at the first coupled
+    boundary, so a coupling builds the scenario's one cached
+    ``boundary_states`` if nothing has yet.  At each boundary every row
+    splits into its part off the coupled arms (shifts kept) and one part per
+    coupled arm, which shifts each pointer on that arm by its strength; each
+    later stage multiplies at least 2 rows.  See ``_split_rows``.  Exact at
+    all strengths.
     """
     specs = tuple(pointers)
     systems, hits = _split_rows(scenario, specs)
@@ -431,7 +434,7 @@ def weak_limit_sweep(
     fwd, bwd = scenario.boundary_states
     b = analytic.boundary
     off = fwd[b].copy()
-    off[_arm_slice(scenario.basis, pointer.arm)] = 0.0
+    off[scenario.basis.arm_indices(pointer.arm)] = 0.0
     off_weight = complex(np.vdot(bwd[b], off))
     if not cmath.isfinite(off_weight):
         raise ValueError("non-finite inner product")

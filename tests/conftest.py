@@ -1,10 +1,22 @@
 import random
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 from weaktrace import builtin_scenario, parse_scenario
+
+# Hypothesis imports libcst to write the patch for a failing example, and
+# libcst's first import warns DeprecationWarning; under ``-W error`` that
+# warning turns the failure report into an INTERNALERROR.  Importing it once
+# here, with that warning ignored, leaves the report to show the example.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import libcst  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture(scope="session")

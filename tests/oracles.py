@@ -270,11 +270,14 @@ def consistent_pointer_rows(
     stages: list[np.ndarray],
     pre: np.ndarray,
     pointers: list[tuple[str, int, float]],
+    modes: tuple[str, ...],
     pol_dim: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """System rows and shifts of the longhand 2**N split that can carry amplitude.
 
-    ``pointers`` holds one ``(arm, boundary, g)`` per pointer.  At each
+    ``pointers`` holds one ``(arm, boundary, g)`` per pointer, on the path
+    modes ``modes`` in basis order.  The one row starts as ``pre`` at
+    boundary 0 and is multiplied by every stage, coupled or not.  At each
     boundary every coupling, in the given order, splits every row into the
     rest and its arm component, which carries the shift ``g``; each stage
     then multiplies the whole stack as one product.  A row is kept, in
@@ -289,7 +292,7 @@ def consistent_pointer_rows(
             if at != boundary:
                 continue
             on_arm = np.zeros(dim)
-            on_arm[ARMS.index(arm) * pol_dim : (ARMS.index(arm) + 1) * pol_dim] = 1.0
+            on_arm[modes.index(arm) * pol_dim : (modes.index(arm) + 1) * pol_dim] = 1.0
             hit = systems * on_arm
             systems = np.stack([systems - hit, hit], axis=1).reshape(-1, dim)
             hits = np.stack([hits, hits], axis=1).reshape(-1, n)

@@ -88,7 +88,7 @@ class TestForwardStateFig2:
 
     def test_outgoing_arm_carries_vertical_light(self, fig2):
         amps = forward_state(fig2, 3).amplitudes
-        on_e = amps[list(fig2.basis.arm_indices("E"))]
+        on_e = amps[fig2.basis.arm_indices("E")]
         assert np.linalg.norm(on_e) == pytest.approx(0.5, abs=ATOL)
         assert abs(amps[fig2.basis.index("E", "H")]) <= ATOL
 
@@ -104,7 +104,7 @@ class TestBackwardState:
 
     def test_fig2_ingoing_arm_survives_with_vertical_polarization(self, fig2):
         amps = backward_state(fig2, 1).amplitudes
-        on_d = amps[list(fig2.basis.arm_indices("D"))]
+        on_d = amps[fig2.basis.arm_indices("D")]
         assert np.linalg.norm(on_d) == pytest.approx(0.5, abs=ATOL)
         assert abs(amps[fig2.basis.index("D", "H")]) <= ATOL
 
@@ -143,7 +143,7 @@ class TestTransitionAmplitude:
     def test_fig2_outgoing_amplitude_zero_despite_population(self, fig2):
         proj = arm_projector(fig2.basis, "E")
         assert abs(transition_amplitude(fig2, proj, 3)) <= ATOL
-        on_e = forward_state(fig2, 3).amplitudes[list(fig2.basis.arm_indices("E"))]
+        on_e = forward_state(fig2, 3).amplitudes[fig2.basis.arm_indices("E")]
         assert np.linalg.norm(on_e) > 0.2
 
     def test_two_state_overlap_boundary_invariant(self, fig1):

@@ -53,6 +53,17 @@ class TestBasisDescriptor:
         with pytest.raises(ValueError):
             POL_BASIS.index("A")
 
+    @pytest.mark.parametrize("basis", [BASIS, POL_BASIS], ids=["plain", "pol"])
+    def test_arm_slice_covers_its_labels(self, basis):
+        for arm in basis.path_modes:
+            rows = basis.arm_indices(arm)
+            assert isinstance(rows, slice)
+            labels = [basis.index(a, pol) for a, pol in basis.labels() if a == arm]
+            assert list(range(basis.dimension))[rows] == labels
+        for lookup in (basis.arm_indices, basis.index):
+            with pytest.raises(UnknownLabelError):
+                lookup("Z")
+
 
 class TestStateVector:
     def test_wrong_length_rejected(self):
@@ -75,7 +86,7 @@ class TestStateVector:
 
     def test_arm_block(self):
         amps = 0.6 * basis_vector(POL_BASIS, "B", "H") + 0.8j * basis_vector(POL_BASIS, "B", "V")
-        block = StateVector(POL_BASIS, amps).amplitudes[list(POL_BASIS.arm_indices("B"))]
+        block = StateVector(POL_BASIS, amps).amplitudes[POL_BASIS.arm_indices("B")]
         np.testing.assert_allclose(block, [0.6, 0.8j])
         assert np.linalg.norm(block) == pytest.approx(1.0)
 
@@ -181,7 +192,6 @@ class TestEmbed:
         total = np.zeros((6, 6), dtype=complex)
         for arm in POL_BASIS.path_modes:
             diag = np.zeros(6)
-            for i in POL_BASIS.arm_indices(arm):
-                diag[i] = 1.0
+            diag[POL_BASIS.arm_indices(arm)] = 1.0
             total += np.diag(diag)
         np.testing.assert_array_equal(total, np.eye(6))

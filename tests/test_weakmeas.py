@@ -136,7 +136,7 @@ class TestCouplePointers:
         unshifted = [b for b in ensemble.branches if b.shifts == (0.0,)]
         assert len(shifted) == 1 and len(unshifted) == 1
         # The shifted branch is the arm-A component pushed to the end.
-        on_a = shifted[0].system.amplitudes[list(fig1.basis.arm_indices("A"))]
+        on_a = shifted[0].system.amplitudes[fig1.basis.arm_indices("A")]
         assert np.linalg.norm(on_a) == pytest.approx(1 / SQ2, abs=ATOL)
 
     def test_branches_sum_to_forward_state(self, fig1, fig2):
@@ -247,13 +247,27 @@ class TestCouplePointers:
                 np.testing.assert_array_equal(system, branch.system.amplitudes)
                 assert tuple(shifts) == branch.shifts
 
+    @staticmethod
+    def _assert_rows_equal_longhand(scenario, pointers):
+        specs = [PointerSpec(f"p{k}", *p) for k, p in enumerate(pointers)]
+        ensemble = couple_pointers(scenario, specs)
+        systems, shifts = consistent_pointer_rows(
+            list(scenario.stage_matrices),
+            scenario.preselect.amplitudes,
+            pointers,
+            scenario.basis.path_modes,
+            scenario.basis.pol_dim,
+        )
+        np.testing.assert_array_equal(ensemble.systems, systems)
+        np.testing.assert_array_equal(ensemble.shifts, shifts)
+
     @pytest.mark.parametrize(
-        "placement", [*range(1, 11), "shared-arm", "empty-arm"], ids=str
+        "placement", [*range(11), "shared-arm", "empty-arm"], ids=str
     )
     @pytest.mark.parametrize("name", ["fig1", "fig2"])
     def test_rows_equal_consistent_longhand_split(self, name, placement, request):
+        # N = 0 is one row, the final forward state.
         scenario = request.getfixturevalue(name)
-        stages, pol_dim = list(scenario.stage_matrices), scenario.basis.pol_dim
         if placement == "shared-arm":
             # Two pointers on B at one boundary, with a pointer on C between them.
             pointers = [("B", 2, 0.3), ("C", 2, 0.2), ("B", 2, 0.1), ("A", 2, 0.4)]
@@ -261,7 +275,7 @@ class TestCouplePointers:
             # F holds no amplitude at boundary 1, nor A at boundary 0.
             pointers = [("F", 1, 0.4), ("A", 0, 0.2), ("D", 1, 0.5)]
         else:
-            rng = np.random.default_rng([placement, pol_dim, 12])
+            rng = np.random.default_rng([placement, scenario.basis.pol_dim, 12])
             pointers = [
                 (
                     str(rng.choice(scenario.basis.path_modes)),
@@ -270,13 +284,24 @@ class TestCouplePointers:
                 )
                 for _ in range(placement)
             ]
-        specs = [PointerSpec(f"p{k}", *p) for k, p in enumerate(pointers)]
-        ensemble = couple_pointers(scenario, specs)
-        systems, shifts = consistent_pointer_rows(
-            stages, scenario.preselect.amplitudes, pointers, pol_dim
-        )
-        np.testing.assert_array_equal(ensemble.systems, systems)
-        np.testing.assert_array_equal(ensemble.shifts, shifts)
+        self._assert_rows_equal_longhand(scenario, pointers)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_rows_equal_consistent_longhand_split_on_chains(self, chains, n):
+        # Every pointer sits in the later half of the boundaries, so the rows
+        # start from a stored forward state several stages in.
+        for index, scenario in enumerate(chains):
+            rng = np.random.default_rng([n, index, 25])
+            late = scenario.n_boundaries // 2
+            pointers = [
+                (
+                    str(rng.choice(scenario.basis.path_modes)),
+                    int(rng.integers(late, scenario.n_boundaries)),
+                    float(rng.uniform(0.05, 1.0)),
+                )
+                for _ in range(n)
+            ]
+            self._assert_rows_equal_longhand(scenario, pointers)
 
     def test_many_pointers_grow_rows_per_boundary(self, fig1):
         # Pointers cycling over fig1's five slots (D@1; A, B, C@2; E@3) add
