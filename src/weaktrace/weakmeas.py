@@ -28,12 +28,15 @@ observed by sweeping ``g`` downward, not assumed.
 
 Neither the system rows nor which pointers each row carries depend on any
 strength; a strength enters only the shifts.  So the rows are coupled once
-into the rows plus a B x N hit mask, and one readout kernel reads a stack
-of G shift sets (G x L x N) against the same live weights.  A coupling
-reads one set.  A sweep has one pointer, so it needs no rows at all: its
-two branch weights are the two-state amplitudes at the pointer's boundary,
-``<bwd|Pi|fwd>`` (the weak value's numerator) on the arm and ``<bwd|fwd>``
-with the arm zeroed off it, and one kernel call reads every strength.
+into the rows plus a B x N hit mask, and one readout kernel reads the live
+rows' shifts (L x N).  A sweep's one pointer needs neither: with its branch
+weights ``w_on = <bwd|Pi|fwd>`` (the weak value's numerator) and ``w_off =
+<bwd|(1 - Pi)|fwd>``, ``a = |w_on|**2``, ``c = Re(conj(w_off) w_on)`` and
+``E = exp(-g**2 / (8 sigma**2))``, its readout is exactly ``P(g) =
+|w_off|**2 + a + 2 c E`` and ``shift/g = (a + c E) / P(g)``: Re(weak value)
+at E = 1 (AAV), the ABL probability ``a / (a + |w_off|**2)`` at E = 0.  As
+``c`` has the factor ``w_on``, a lone pointer on an arm of vanishing
+two-state amplitude leaves P(g) as it is.
 
 In the weak limit the post-selected position shift approaches
 ``g * Re(weak value)``; the momentum shift approaches
@@ -163,8 +166,8 @@ class SweepReport:
     ``fitted_shift_order`` is the log-log slope of the deviation versus g
     (``inf`` when every deviation sits below the numerical floor, i.e. the
     finite-g readout is already exact); ``fitted_disturbance_order`` is the
-    same fit for ``|P(g) - P(0)|`` and is expected to be 2: the coupling
-    leaves the post-selection probability unchanged to first order.
+    same fit for ``|P(g) - P(0)| = 2 |c| (1 - E)`` (see the module docstring),
+    so it is 2 unless c = 0, where the disturbance is 0 at every g.
     """
 
     arm: str
@@ -257,8 +260,7 @@ def _split_rows(
     one doubling per pointer that do not project onto two arms, or an arm
     and its complement, at one boundary (those are exactly 0).  Each stage
     product after the start is a ``gemm`` on at least 2 rows, so the kept
-    rows match bit for bit.  No strength enters.  A sweep's one pointer
-    needs no rows; see ``weak_limit_sweep``.
+    rows match bit for bit.  No strength enters.
     """
     arms: list[dict[str, list[int]]] = [{} for _ in range(scenario.n_boundaries)]
     for k, spec in enumerate(specs):
@@ -286,71 +288,52 @@ def _split_rows(
     return systems, hits
 
 
-def _shifts(hits: np.ndarray, strengths: np.ndarray) -> np.ndarray:
-    """Each row's shift per pointer: ``0.0 + strength`` where it carries the pointer, else 0."""
-    return np.where(hits, 0.0 + strengths, 0.0)
-
-
 def couple_pointers(scenario: Scenario, pointers: list[PointerSpec]) -> PointerEnsemble:
-    """Evolve the preselection with exact conditional-translation couplings.
+    """Evolve the preselection with exact conditional-translation couplings, at any strength.
 
-    The rows start from the stored forward state at the first coupled
-    boundary, so a coupling builds the scenario's one cached
-    ``boundary_states`` if nothing has yet.  At each boundary every row
-    splits into its part off the coupled arms (shifts kept) and one part per
-    coupled arm, which shifts each pointer on that arm by its strength; each
-    later stage multiplies at least 2 rows.  See ``_split_rows``.  Exact at
-    all strengths.
+    The rows come from ``_split_rows``, which builds the scenario's one cached
+    ``boundary_states`` if nothing has yet; each row shifts every pointer it
+    carries by ``0.0 + strength``, so a strength of -0.0 shifts by +0.0.
     """
     specs = tuple(pointers)
     systems, hits = _split_rows(scenario, specs)
-    shifts = _shifts(hits, np.array([spec.strength for spec in specs], dtype=np.float64))
+    shifts = np.where(hits, 0.0 + np.array([spec.strength for spec in specs]), 0.0)
     systems.setflags(write=False)
     shifts.setflags(write=False)
     return PointerEnsemble(specs=specs, basis=scenario.basis, systems=systems, shifts=shifts)
 
 
-def _live_weights(systems: np.ndarray, postselect: StateVector) -> tuple[np.ndarray, np.ndarray]:
-    """The post-selected weights of the rows whose weight is not exactly 0, and their mask."""
-    weights = systems @ postselect.amplitudes.conj()
-    if not np.all(np.isfinite(weights)):
-        raise ValueError("non-finite inner product")
-    live = weights != 0.0
-    return weights[live], live
-
-
 def _read_shift_sets(
     weights: np.ndarray, shifts: np.ndarray, widths: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Post-selection probability (G) and mean position and momentum (G x N) per shift set.
+) -> tuple[np.float64, np.ndarray, np.ndarray]:
+    """Post-selection probability and mean position and momentum (N each) of one shift set.
 
     ``weights`` are the L live rows' post-selected weights and ``shifts``
-    holds G shift sets of those rows (G x L x N).  The closed-form Gaussian
-    matrix elements include all cross-pointer overlap factors.  Each L x L
-    block is summed as one row of a contiguous copy of the terms, which
-    numpy adds pairwise, exactly as it adds a lone block.  The terms from
-    ``np.concatenate`` are not C-contiguous, so reshaping them directly
-    gives a strided view that numpy adds sequentially, and that moves the
-    last digit once L >= 3.
+    their shifts (L x N).  The closed-form Gaussian matrix elements include
+    all cross-pointer overlap factors.  Each L x L block is summed as one
+    row of a contiguous copy of the terms, which numpy adds pairwise,
+    exactly as it adds a lone block.  The terms from ``np.concatenate`` are
+    not C-contiguous, so reshaping them directly gives a strided view that
+    numpy adds sequentially, and that moves the last digit once L >= 3.
     Nothing is checked here; see ``_check_readout``.
     """
-    sets, live, n = shifts.shape
+    live, n = shifts.shape
     # A width whose square underflows gives 0/0 here, and a vanishing
     # probability divides by 0; the readout check raises for both.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         quarter = 4.0 * widths**2
-        diff = shifts[:, :, None, :] - shifts[:, None, :, :]
+        diff = shifts[:, None, :] - shifts[None, :, :]
         log_overlap = np.add.reduce(diff**2 / (-2.0 * quarter), axis=-1)
-        cross = (np.conj(weights)[:, None] * weights[None, :] * np.exp(log_overlap))[:, None]
-        per_pointer = shifts.transpose(0, 2, 1)[..., None]
-        centers = (per_pointer + per_pointer.transpose(0, 1, 3, 2)) / 2.0
-        momenta = 1j * diff.transpose(0, 3, 1, 2) / quarter[:, None, None]
-        terms = np.concatenate((cross, cross * centers, cross * momenta), axis=1)
-        blocks = np.ascontiguousarray(terms).reshape(sets * (1 + 2 * n), live * live)
-        sums = np.add.reduce(blocks, axis=1).real.reshape(sets, 1 + 2 * n)
-        probability = sums[:, 0]
-        means = sums[:, 1:] / probability[:, None]
-    return probability, means[:, :n], means[:, n:]
+        cross = (np.conj(weights)[:, None] * weights[None, :] * np.exp(log_overlap))[None]
+        per_pointer = shifts.T[..., None]
+        centers = (per_pointer + per_pointer.transpose(0, 2, 1)) / 2.0
+        momenta = 1j * diff.transpose(2, 0, 1) / quarter[:, None, None]
+        terms = np.concatenate((cross, cross * centers, cross * momenta))
+        blocks = np.ascontiguousarray(terms).reshape(1 + 2 * n, live * live)
+        sums = np.add.reduce(blocks, axis=1).real
+        probability = sums[0]
+        means = sums[1:] / probability
+    return probability, means[:n], means[n:]
 
 
 def _check_readout(probability: float, mean_x: list, mean_p: list, names: list) -> None:
@@ -376,10 +359,13 @@ def postselect_and_readout(
     coupled strengths.
     """
     _require_same_basis(postselect.basis, ensemble.basis)
-    weights, live = _live_weights(ensemble.systems, postselect)
+    weights = ensemble.systems @ postselect.amplitudes.conj()
+    if not np.all(np.isfinite(weights)):
+        raise ValueError("non-finite inner product")
+    live = weights != 0.0
     widths = np.array([spec.width for spec in ensemble.specs], dtype=np.float64)
-    (probability,), (mean_x,), (mean_p,) = (
-        a.tolist() for a in _read_shift_sets(weights, ensemble.shifts[live][None], widths)
+    probability, mean_x, mean_p = (
+        a.tolist() for a in _read_shift_sets(weights[live], ensemble.shifts[live], widths)
     )
     _check_readout(probability, mean_x, mean_p, [spec.name for spec in ensemble.specs])
     return tuple(
@@ -407,22 +393,29 @@ def weak_limit_sweep(
 ) -> SweepReport:
     """Exact finite-strength readouts over a descending strength schedule.
 
-    ``g_values`` must be strictly descending and nonnegative, with at least
-    one positive entry to fit; a final zero records the uncoupled baseline
-    (shift exactly 0, probability P(0)) and is excluded from the fits.
-    ``pointer.strength`` is not used.  The two branch weights are read at
-    the pointer's boundary from ``scenario.boundary_states``: on the arm the
-    weak value's own numerator, off it ``<bwd|fwd>`` with the arm's entries
-    zeroed.  So a null weak value is a null on-arm weight, and a null arm's
-    deviation falls as g**2 instead of sitting at a roundoff floor.  One
-    readout kernel call reads the G strengths as G shift sets.  A separate
-    ``couple_pointers`` and ``postselect_and_readout`` at a strength forms
-    the same two weights from rows evolved past the boundary, a different
-    order of the same unitary products, so each entry matches it to within
-    1e-15, not bit for bit (checked on fig1, fig2 and the benchmark chains
-    at every arm and boundary).
+    ``g_values`` must be finite, strictly descending and nonnegative, with
+    at least one positive entry to fit; a final zero records the uncoupled
+    baseline (shift exactly 0, probability P(0)) and is excluded from the
+    fits.  ``pointer.strength`` is not used.  ``w_on`` (the weak value's own
+    numerator) and ``w_off`` are read at the pointer's boundary from
+    ``scenario.boundary_states``, so a null arm's deviation falls as g**2
+    instead of sitting at a roundoff floor.  Every strength is read at once
+    from the closed form in the module docstring, ``P(g) = |w_off|**2 + a +
+    2 c E`` and ``shift/g = (a + c E) / P(g)``: Re(weak value) at E = 1
+    (g << sigma, AAV), and at E = 0 (g >> sigma) ``a / (a + |w_off|**2)``,
+    the ABL probability of the strong measurement {Pi, 1 - Pi}.  Its terms
+    are formed and summed as the kernel summed two rows, so each entry keeps
+    the kernel's bits.  The mean momentum, ``2 Im(conj(w_off) w_on) E g /
+    (4 sigma**2) / P(g)``, is only checked; ``1 / (4 sigma**2)`` is taken
+    first, as in the kernel's complex division, so the sweep refuses every
+    width and strength the kernel refused (and, as a weight of exactly 0 is
+    kept, also a slot where g / (4 sigma**2), or g**2 and 4 sigma**2,
+    overflow).  A lone coupling forms the two weights from rows evolved past
+    the boundary, so each entry matches it within 1e-15, not bit for bit.
     """
     gs = [float(g) for g in g_values]
+    if not all(math.isfinite(g) for g in gs):
+        raise ValueError("non-finite coupling strength")
     if any(g < 0.0 for g in gs):
         raise ValueError("coupling strengths must be nonnegative")
     if any(a <= b for a, b in zip(gs, gs[1:])):
@@ -438,18 +431,23 @@ def weak_limit_sweep(
     off_weight = complex(np.vdot(bwd[b], off))
     if not cmath.isfinite(off_weight):
         raise ValueError("non-finite inner product")
-    # The rows of one pointer's split, off the arm then on it.
+    # The kernel's outer product: numpy rounds a complex product unlike Python.
     weights = np.array([off_weight, analytic.numerator])
-    live = weights != 0.0
-    hits = np.array([[False], [True]])
-    shifts = _shifts(hits[live][None], np.array(gs)[:, None, None])
-    readouts = _read_shift_sets(weights[live], shifts, np.array([pointer.width]))
+    (off_norm, both), (_, on_norm) = np.conj(weights)[:, None] * weights
+    strengths = np.array(gs)
+    # A width whose square underflows gives 0/0 or 0 * inf, as in the kernel.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        quarter = 4.0 * np.square(pointer.width)
+        overlap = np.exp(strengths**2 / (-2.0 * quarter))
+        cross = both.real * overlap
+        probabilities = (off_norm.real + cross) + (cross + on_norm.real)
+        half = cross * (strengths / 2.0)
+        shifts = (half + (half + on_norm.real * strengths)) / probabilities
+        momenta = 2.0 * both.imag * overlap * (strengths * (1.0 / quarter)) / probabilities
     entries = []
-    for g, probability, mean_x, mean_p in zip(gs, *(a.tolist() for a in readouts)):
-        # Each strength is checked where a lone coupling at it would be.
-        PointerSpec(pointer.name, pointer.arm, pointer.boundary, g, pointer.width)
-        _check_readout(probability, mean_x, mean_p, [pointer.name])
-        (shift,) = mean_x
+    readouts = zip(gs, probabilities.tolist(), shifts.tolist(), momenta.tolist())
+    for g, probability, shift, momentum in readouts:
+        _check_readout(probability, [shift], [momentum], [pointer.name])
         over_g = shift / g if g > 0.0 else None
         deviation = abs(over_g - analytic.value.real) if g > 0.0 else None
         entries.append(

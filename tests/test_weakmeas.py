@@ -436,8 +436,9 @@ def _sweep_matches_couplings(scenario, sigma):
 
     The sweep takes its branch weights from the two-state rows, a coupling
     from rows evolved past the boundary, so the two agree to roundoff only.
+    g = 1000 and 10 reach the strong regime, where the overlap E is 0.
     """
-    gs = [1.0, 0.5, 0.1, 0.01, 0.0]
+    gs = [1000.0, 10.0, 1.0, 0.5, 0.1, 0.01, 0.0]
     for arm in scenario.basis.path_modes:
         for boundary in range(scenario.n_boundaries):
             pointer = PointerSpec("p", arm, boundary, 0.0, sigma)
@@ -448,7 +449,7 @@ def _sweep_matches_couplings(scenario, sigma):
                 (readout,) = postselect_and_readout(ensemble, scenario.postselect)
                 assert entry.g == g
                 assert entry.mean_position_shift == pytest.approx(
-                    readout.mean_position_shift, abs=1e-15
+                    readout.mean_position_shift, rel=1e-15, abs=1e-15
                 )
                 assert entry.postselection_probability == pytest.approx(
                     readout.postselection_probability, abs=1e-15
@@ -479,19 +480,63 @@ class TestWeakLimitSweep:
         at_tenth, at_hundredth = (e.deviation for e in report.entries[1:])
         assert at_hundredth <= at_tenth / 50
 
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    def test_entries_equal_two_row_kernel_bits(self, fig1, fig2, chains, sigma):
+        # The closed form forms and sums the terms as the kernel does for the
+        # live rows of one pointer's split, off the arm then on it.
+        gs = [1000.0, 10.0, 1.0, 0.5, 0.1, 0.01, 0.0]
+        for scenario in [fig1, fig2, *chains]:
+            fwd, bwd = scenario.boundary_states
+            for arm in scenario.basis.path_modes:
+                for boundary in range(scenario.n_boundaries):
+                    pointer = PointerSpec("p", arm, boundary, 0.0, sigma)
+                    report = weak_limit_sweep(scenario, pointer, gs)
+                    off = fwd[boundary].copy()
+                    off[scenario.basis.arm_indices(arm)] = 0.0
+                    on_weight = arm_weak_value(scenario, arm, boundary).numerator
+                    weights = np.array([np.vdot(bwd[boundary], off), on_weight])
+                    live = weights != 0.0
+                    for g, entry in zip(gs, report.entries, strict=True):
+                        shifts = np.array([[0.0], [g]])[live]
+                        probability, (shift,), _ = _read_shift_sets(
+                            weights[live], shifts, np.array([sigma])
+                        )
+                        assert entry.postselection_probability == probability
+                        assert entry.mean_position_shift == shift
+
+    @pytest.mark.parametrize("arm", ["D", "E"])
+    @pytest.mark.parametrize("name", ["fig1", "fig2"])
+    def test_null_arm_pointer_leaves_postselection_unchanged(self, name, arm, request):
+        # P(g) - P(0) = -2 c (1 - E), and c = Re(conj(w_off) w_on) carries the
+        # vanishing on-arm amplitude: no strength, up to a strong
+        # measurement, disturbs the post-selection through a lone pointer.
+        scenario = request.getfixturevalue(name)
+        boundary = dict(scenario.canonical_slots())[arm]
+        gs = [1000.0, 100.0, 10.0, 1.0, 0.1, 0.01, 0.0]
+        report = weak_limit_sweep(scenario, PointerSpec("p", arm, boundary, 0.0), gs)
+        p_zero = report.entries[-1].postselection_probability
+        for g, entry in zip(gs, report.entries, strict=True):
+            assert abs(entry.postselection_probability - p_zero) <= 1e-15
+            assert entry.disturbance <= 1e-15
+            ensemble = couple_pointers(scenario, [PointerSpec("p", arm, boundary, g)])
+            (readout,) = postselect_and_readout(ensemble, scenario.postselect)
+            assert abs(readout.postselection_probability - p_zero) <= 1e-15
+
     @pytest.mark.parametrize("name", ["fig1", "fig2"])
     def test_undefined_readout_raised_on_both_paths(self, name, request):
         # sigma**2 is subnormal, so the momentum factor 1 / (4 sigma**2)
-        # overflows and every slot's mean is 0 * inf.
+        # overflows and every slot's mean is 0 * inf.  At 1e-155 and g = 0.01
+        # the quotient g / (4 sigma**2) is still finite, 2.5e307.
         scenario = request.getfixturevalue(name)
         for arm in scenario.basis.path_modes:
             for boundary in range(scenario.n_boundaries):
-                pointer = PointerSpec("p", arm, boundary, 0.0, 1e-160)
-                with pytest.raises(UndefinedReadoutError, match="not finite"):
-                    weak_limit_sweep(scenario, pointer, [0.5, 0.0])
-                ensemble = couple_pointers(scenario, [PointerSpec("p", arm, boundary, 0.5, 1e-160)])
-                with pytest.raises(UndefinedReadoutError, match="not finite"):
-                    postselect_and_readout(ensemble, scenario.postselect)
+                for width, g in ((1e-160, 0.5), (1e-155, 0.01)):
+                    pointer = PointerSpec("p", arm, boundary, 0.0, width)
+                    with pytest.raises(UndefinedReadoutError, match="not finite"):
+                        weak_limit_sweep(scenario, pointer, [g, 0.0])
+                    ensemble = couple_pointers(scenario, [replace(pointer, strength=g)])
+                    with pytest.raises(UndefinedReadoutError, match="not finite"):
+                        postselect_and_readout(ensemble, scenario.postselect)
 
     def test_inner_arm_converges_to_half(self, fig1):
         report = weak_limit_sweep(
@@ -545,10 +590,14 @@ class TestWeakLimitSweep:
         with pytest.raises(DegeneratePostselectionError):
             weak_limit_sweep(scenario, PointerSpec("p", "A", 0, 0.0), [0.1])
 
-    @pytest.mark.parametrize("g", [math.inf, math.nan])
-    def test_nonfinite_strength_rejected(self, fig1, g):
-        with pytest.raises(ValueError):
-            weak_limit_sweep(fig1, PointerSpec("pB", "B", 2, 0.0), [g])
+    @pytest.mark.parametrize(
+        "g_values",
+        [[math.inf], [math.nan], [0.5, math.nan], [math.nan, 0.5]],
+        ids=["inf", "nan", "0.5-nan", "nan-0.5"],
+    )
+    def test_nonfinite_strength_rejected(self, fig1, g_values):
+        with pytest.raises(ValueError, match="non-finite"):
+            weak_limit_sweep(fig1, PointerSpec("pB", "B", 2, 0.0), g_values)
 
     @pytest.mark.parametrize("option", [["--g", "inf"], ["--g", "0.5", "--sigma", "inf"]])
     def test_cli_nonfinite_exits_2(self, option, capsys):
@@ -579,8 +628,9 @@ def test_degenerate_postselection_table_rejected(fig1):
 def test_readout_kernel_equals_block_by_block_sums(sets):
     """One reduction over a contiguous copy adds each block as a lone block is added.
 
-    L up to 7 keeps a block within numpy's unrolled pairwise leaf (128
-    terms); L 12-40 with N 1-3 reaches its recursive branch.
+    Each case draws ``sets`` shift sets of the same rows, read one at a
+    time.  L up to 7 keeps a block within numpy's unrolled pairwise leaf
+    (128 terms); L 12-40 with N 1-3 reaches its recursive branch.
     """
     rng = np.random.default_rng(sets)
     small = [(n, live) for n in range(1, 15) for live in range(1, 8)]
@@ -590,10 +640,11 @@ def test_readout_kernel_equals_block_by_block_sums(sets):
         hits = rng.random((1, live, n)) < 0.5
         shifts = np.where(hits, rng.uniform(0.01, 1.0, (sets, 1, 1)), 0.0)
         widths = rng.uniform(0.5, 2.0, n)
-        got = _read_shift_sets(weights, shifts, widths)
-        expected = read_shift_sets_reference(weights, shifts, widths)
-        for a, b in zip(got, expected, strict=True):
-            assert a.shape == b.shape and (a == b).all(), (sets, n, live)
+        for k in range(sets):
+            got = _read_shift_sets(weights, shifts[k], widths)
+            expected = read_shift_sets_reference(weights, shifts[k][None], widths)
+            for a, b in zip(got, expected, strict=True):
+                assert np.shape(a) == b.shape[1:] and (a == b[0]).all(), (sets, k, n, live)
 
 
 @pytest.mark.parametrize("width", [1e-200, 1e-160])
