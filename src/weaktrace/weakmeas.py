@@ -167,7 +167,10 @@ class SweepReport:
     (``inf`` when every deviation sits below the numerical floor, i.e. the
     finite-g readout is already exact); ``fitted_disturbance_order`` is the
     same fit for ``|P(g) - P(0)| = 2 |c| (1 - E)`` (see the module docstring),
-    so it is 2 unless c = 0, where the disturbance is 0 at every g.
+    so it is 2 unless c = 0, where the disturbance is 0 at every g.  Each is
+    the closed-form least-squares slope ``sum((u - mean u)(v - mean v)) /
+    sum((u - mean u)**2)`` of v = log(error) against u = log(g); ``nan`` when
+    fewer than two distinct log-strengths are left to fit.
     """
 
     arm: str
@@ -375,17 +378,25 @@ def postselect_and_readout(
 
 
 def _fit_order(xs: list[float], errors: list[float]) -> float:
-    """Log-log slope of errors vs xs; ``inf`` when all errors sit at ``FIT_FLOOR``."""
+    """Least-squares slope of ``log(error)`` against ``log(x)`` over errors above ``FIT_FLOOR``.
+
+    In closed form, ``sum((u - mean u)(v - mean v)) / sum((u - mean u)**2)``
+    with u = log(x), v = log(error) and each sum a ``math.fsum``.  ``inf``
+    when no point is left (the readout is exact); ``nan`` for a single data
+    point, which includes strengths whose logs coincide.
+    """
     points = [(x, e) for x, e in zip(xs, errors) if e > FIT_FLOOR and x > 0.0]
     if not points:
         return math.inf
-    if len(points) < 2:
+    lx = [math.log(x) for x, _ in points]
+    # One point on the log-log axis; the fsum mean of equal logs can round off them.
+    if min(lx) == max(lx):
         return math.nan
-    lx = np.log([p[0] for p in points])
-    le = np.log([p[1] for p in points])
-    # A closed-form least-squares slope rounds differently from polyfit's
-    # lstsq and moves the printed 15th digit, so polyfit stays.
-    return float(np.polyfit(lx, le, 1)[0])
+    le = [math.log(e) for _, e in points]
+    mean_x = math.fsum(lx) / len(lx)
+    mean_e = math.fsum(le) / len(le)
+    dx = [u - mean_x for u in lx]
+    return math.fsum(d * (v - mean_e) for d, v in zip(dx, le)) / math.fsum(d * d for d in dx)
 
 
 def weak_limit_sweep(

@@ -11,7 +11,9 @@ scenario-text references are the regex tokenizer and the ``Fraction``
 angle formatter that ``scendsl`` replaced.  The readout kernel's reference
 sums each L x L block on its own, and the JSON reference is the stdlib's
 ``json.dumps(..., indent=2)`` over rounded copies, both as ``weakmeas`` and
-``cli`` did before they replaced them.
+``cli`` did before they replaced them.  A sweep's fitted order has two
+references: ``np.polyfit``'s least squares, which ``weakmeas`` replaced, and
+the exact ``Fraction`` slope of the same float logs.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 
 from weaktrace.cli import _round15
 from weaktrace.scendsl import parse_angle
+from weaktrace.weakmeas import FIT_FLOOR
 
 ARMS = ("S", "A", "B", "C", "D", "E", "F")
 
@@ -406,6 +409,31 @@ def read_shift_sets_reference(
         probability = sums[:, 0]
         means = sums[:, 1:] / probability[:, None]
     return probability, means[:, :n], means[:, n:]
+
+
+def _fit_logs(xs, errors) -> tuple[list[float], list[float]]:
+    points = [(x, e) for x, e in zip(xs, errors) if e > FIT_FLOOR and x > 0.0]
+    return [math.log(x) for x, _ in points], [math.log(e) for _, e in points]
+
+
+def polyfit_order_reference(xs, errors) -> float:
+    """``weakmeas._fit_order`` through ``np.polyfit``: ``inf`` with no point, ``nan`` with one."""
+    lx, le = _fit_logs(xs, errors)
+    if not lx:
+        return math.inf
+    if len(lx) < 2:
+        return math.nan
+    return float(np.polyfit(lx, le, 1)[0])
+
+
+def exact_order_reference(xs, errors) -> float:
+    """The least-squares slope of the same float logs in exact rational arithmetic, rounded once."""
+    lx, le = _fit_logs(xs, errors)
+    u = [Fraction(x) for x in lx]
+    v = [Fraction(e) for e in le]
+    mean_u, mean_v = sum(u) / len(u), sum(v) / len(v)
+    covariance = sum((a - mean_u) * (b - mean_v) for a, b in zip(u, v))
+    return float(covariance / sum((a - mean_u) ** 2 for a in u))
 
 
 def _json_ready(obj):

@@ -125,6 +125,17 @@ def test_json_names_exact_and_unfittable_orders(capsys):
     assert "fitted disturbance order: not fittable" in table
 
 
+@pytest.mark.filterwarnings("error")
+def test_coinciding_log_strengths_read_not_fittable(capsys):
+    # Both strengths have one float log: a single point on the log-log axis.
+    gs = "1e300,9.999999999999999e299"
+    assert execute(["sweep", "fig1", "--arm", "B", "--g", gs, "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    (sweep,) = json.loads(captured.out)["sweeps"]
+    assert sweep["fitted_disturbance_order"] == "not fittable"
+
+
 def _no_constant(name):
     raise ValueError(f"{name} is not JSON")
 

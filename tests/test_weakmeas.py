@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from weaktrace.weakmeas import (
     DegeneratePostselectionError,
     PointerSpec,
     UndefinedReadoutError,
+    _fit_order,
     _read_shift_sets,
     arm_weak_value,
     couple_pointers,
@@ -26,12 +28,14 @@ from weaktrace.weakmeas import (
 
 from oracles import (
     consistent_pointer_rows,
+    exact_order_reference,
     fig1_stage_matrices,
     fig1_states,
     fig2_stage_matrices,
     fig2_states,
     full_sum_pointer_readout,
     grid_pointer_readout,
+    polyfit_order_reference,
     read_shift_sets_reference,
 )
 
@@ -603,6 +607,82 @@ class TestWeakLimitSweep:
     def test_cli_nonfinite_exits_2(self, option, capsys):
         assert execute(["sweep", "fig1", "--arm", "B", *option]) == 2
         assert "nan" not in capsys.readouterr().out.lower()
+
+
+#: The benchmark's sweep strength grid.
+FIT_GRID = (1.0, 0.5, 0.25, 0.1, 0.05, 0.02, 0.01)
+
+
+def _fit_schedules(count=400, noise=0.02):
+    """Seeded 2-4-point descending schedules with errors near ``c g**p``.
+
+    Half the schedules draw from ``FIT_GRID``; half draw log-uniform
+    strengths in 1e-4..1e2 whose logs are at least 0.1 decade apart.  The
+    exponent p lies in [1, 3] and each error within ``noise`` decades of the
+    power law, so no slope is near 0; the smallest error is above the fit
+    floor.
+    """
+    rng = np.random.default_rng(2202)
+    for _ in range(count):
+        n = int(rng.integers(2, 5))
+        if rng.random() < 0.5:
+            xs = sorted(rng.choice(FIT_GRID, n, replace=False).tolist(), reverse=True)
+        else:
+            exponents = [0.0]
+            while min(np.diff(exponents), default=0.0) < 0.1:
+                exponents = sorted(rng.uniform(-4.0, 2.0, n).tolist())
+            xs = [10.0**e for e in reversed(exponents)]
+        p = float(rng.uniform(1.0, 3.0))
+        c = 10.0 ** rng.uniform(-10.0, 0.0) / xs[-1] ** p
+        yield xs, [c * x**p * 10.0 ** rng.uniform(-noise, noise) for x in xs], p
+
+
+class TestFitOrder:
+    def test_matches_exact_rational_slope(self):
+        for xs, errors, _ in _fit_schedules():
+            exact = exact_order_reference(xs, errors)
+            assert abs(_fit_order(xs, errors) - exact) <= 2e-15 * abs(exact)
+
+    def test_exact_power_law_returns_its_exponent(self):
+        for xs, errors, p in _fit_schedules(noise=0.0):
+            assert _fit_order(xs, errors) == pytest.approx(p, rel=0.0, abs=1e-14)
+
+    def test_agrees_with_polyfit(self):
+        for xs, errors, _ in _fit_schedules():
+            assert _fit_order(xs, errors) == pytest.approx(
+                polyfit_order_reference(xs, errors), rel=1e-10
+            )
+
+    @pytest.mark.parametrize("arm", ["B", "C"])
+    @pytest.mark.parametrize("name", ["fig1", "fig2"])
+    def test_golden_schedule_orders_agree_with_polyfit(self, name, arm, request):
+        scenario = request.getfixturevalue(name)
+        boundary = dict(scenario.canonical_slots())[arm]
+        report = weak_limit_sweep(scenario, PointerSpec("p", arm, boundary, 0.0), [0.5, 0.1, 0.01])
+        gs = [e.g for e in report.entries]
+        deviations = [e.deviation for e in report.entries]
+        disturbances = [e.disturbance for e in report.entries]
+        assert report.fitted_shift_order == pytest.approx(
+            polyfit_order_reference(gs, deviations), rel=1e-10
+        )
+        assert report.fitted_disturbance_order == pytest.approx(
+            polyfit_order_reference(gs, disturbances), rel=1e-10
+        )
+
+    @pytest.mark.parametrize(
+        "gs",
+        [
+            [1e300, 9.999999999999999e299],
+            # Three equal logs whose mean, fsum / 3, rounds off them.
+            [8.626903632435094e299, 8.626903632435093e299, 8.626903632435091e299],
+        ],
+        ids=["two", "three"],
+    )
+    def test_coinciding_log_strengths_not_fittable(self, gs):
+        assert len({math.log(g) for g in gs}) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(_fit_order(gs, [0.5, 0.25, 0.125][: len(gs)]))
 
 
 DEGENERATE_TEXT = "modes A B\npreselect 1@A\npostselect 1@B\n"
