@@ -54,7 +54,6 @@ from .trace import (
     trace_verdict,
 )
 from .weakmeas import (
-    Branch,
     DegeneratePostselectionError,
     PointerEnsemble,
     PointerReadout,
@@ -77,7 +76,6 @@ __all__ = [
     "BUILTIN_TEXTS",
     "BasisDescriptor",
     "BoundaryError",
-    "Branch",
     "ContinuityVerdict",
     "DEFAULT_THRESHOLD",
     "DETECTOR",

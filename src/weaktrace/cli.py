@@ -267,13 +267,15 @@ def build_parser() -> argparse.ArgumentParser:
     add("weakvalues", _cmd_weakvalues, "weak values at every canonical coupling slot")
 
     sub = add("trace", _cmd_trace, "arm presence and path-continuity verdict")
-    sub.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
+    present = "an arm is present iff |weak value| > THRESHOLD (default %(default)g)"
+    sub.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD, help=present)
 
     sub = add("sweep", _cmd_sweep, "finite-strength pointer readouts over descending g")
     sub.add_argument("--arm", required=True)
-    sub.add_argument("--g", required=True, type=_g_list, help="comma-separated strengths")
-    sub.add_argument("--sigma", type=float, default=1.0)
-    sub.add_argument("--boundary", type=int, default=None)
+    strengths = "comma-separated strengths in pointer-position units, strictly descending"
+    sub.add_argument("--g", required=True, type=_g_list, help=strengths)
+    sub.add_argument("--sigma", type=float, default=1.0, help="pointer position standard deviation")
+    sub.add_argument("--boundary", type=int, help="defaults to the arm's canonical slot")
 
     sub = commands.add_parser("builtin", help="print a bundled scenario in the textual grammar")
     sub.add_argument("name")

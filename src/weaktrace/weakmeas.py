@@ -29,14 +29,15 @@ observed by sweeping ``g`` downward, not assumed.
 Neither the system rows nor which pointers each row carries depend on any
 strength; a strength enters only the shifts.  So the rows are coupled once
 into the rows plus a B x N hit mask, and one readout kernel reads the live
-rows' shifts (L x N).  A sweep's one pointer needs neither: with its branch
-weights ``w_on = <bwd|Pi|fwd>`` (the weak value's numerator) and ``w_off =
-<bwd|(1 - Pi)|fwd>``, ``a = |w_on|**2``, ``c = Re(conj(w_off) w_on)`` and
-``E = exp(-g**2 / (8 sigma**2))``, its readout is exactly ``P(g) =
-|w_off|**2 + a + 2 c E`` and ``shift/g = (a + c E) / P(g)``: Re(weak value)
-at E = 1 (AAV), the ABL probability ``a / (a + |w_off|**2)`` at E = 0.  As
-``c`` has the factor ``w_on``, a lone pointer on an arm of vanishing
-two-state amplitude leaves P(g) as it is.
+rows' shifts (L x N).  A sweep's one pointer needs neither: its branch
+weights are the slot's weak-value record's ``numerator`` ``w_on =
+<bwd|Pi|fwd>`` and ``off_arm`` ``w_off = <bwd|(1 - Pi)|fwd>``, which sum to
+its ``denominator`` up to roundoff.  With ``a = |w_on|**2``, ``c =
+Re(conj(w_off) w_on)`` and ``E = exp(-g**2 / (8 sigma**2))``, its readout
+is exactly ``P(g) = |w_off|**2 + a + 2 c E`` and ``shift/g = (a + c E) /
+P(g)``: Re(weak value) at E = 1 (AAV), the ABL probability ``a / (a +
+|w_off|**2)`` at E = 0.  As ``c`` has the factor ``w_on``, a lone pointer
+on an arm of vanishing two-state amplitude leaves P(g) as it is.
 
 In the weak limit the post-selected position shift approaches
 ``g * Re(weak value)``; the momentum shift approaches
@@ -76,13 +77,14 @@ class UndefinedReadoutError(ValueError):
 
 @dataclass(frozen=True)
 class WeakValueResult:
-    """One weak value with the amplitudes it came from."""
+    """One weak value and its amplitudes; ``numerator + off_arm == denominator`` up to roundoff."""
 
     arm: str | None
     boundary: int
     value: complex
     numerator: complex
     denominator: complex
+    off_arm: complex
 
 
 @dataclass(frozen=True)
@@ -184,9 +186,9 @@ class SweepReport:
 
 
 def _result(
-    arm: str | None, boundary: int, numerator: complex, denominator: complex
+    arm: str | None, boundary: int, numerator: complex, denominator: complex, off_arm: complex
 ) -> WeakValueResult:
-    """``numerator / denominator``; raises if either is non-finite or the denominator degenerate."""
+    """``numerator / denominator``; raises if any is non-finite or the denominator degenerate."""
     if not (cmath.isfinite(numerator) and cmath.isfinite(denominator)):
         raise ValueError("non-finite inner product")
     if abs(denominator) <= EPSILON_DENOMINATOR:
@@ -194,12 +196,15 @@ def _result(
             f"post-selection amplitude {abs(denominator):.3e} below {EPSILON_DENOMINATOR:.0e}; "
             "weak value undefined"
         )
+    if not cmath.isfinite(off_arm):
+        raise ValueError("non-finite inner product")
     return WeakValueResult(
         arm=arm,
         boundary=boundary,
         value=numerator / denominator,
         numerator=numerator,
         denominator=denominator,
+        off_arm=off_arm,
     )
 
 
@@ -208,8 +213,9 @@ def weak_value(scenario: Scenario, observable: Operator, boundary: int) -> WeakV
     _require_same_basis(observable.basis, scenario.basis)
     b = scenario.check_boundary(boundary)
     fwd, bwd = scenario.boundary_states
-    numerator = complex(np.vdot(bwd[b], observable.matrix @ fwd[b]))
-    return _result(None, b, numerator, complex(np.vdot(bwd[b], fwd[b])))
+    applied = observable.matrix @ fwd[b]
+    amplitudes = (np.vdot(bwd[b], v) for v in (applied, fwd[b], fwd[b] - applied))
+    return _result(None, b, *map(complex, amplitudes))
 
 
 def _arm_results(
@@ -217,9 +223,9 @@ def _arm_results(
 ) -> tuple[WeakValueResult, ...]:
     """Each (arm, boundary) slot's arm-projector weak value, boundaries checked.
 
-    Each slot's numerator is the same ``vdot`` on a row of one zeroed
-    buffer, and each boundary's denominator is computed once.  Slots are
-    checked in order, so the first failing slot raises.
+    Each slot's numerator is the ``vdot`` on a row of one zeroed buffer, its
+    off-arm weight on ``fwd[b]`` minus that row, and each boundary's
+    denominator is computed once.  The first failing slot, in order, raises.
     """
     fwd, bwd = scenario.boundary_states
     observed = np.zeros((len(slots), fwd.shape[1]), dtype=fwd.dtype)
@@ -231,7 +237,8 @@ def _arm_results(
         if b not in denominators:
             denominators[b] = complex(np.vdot(bwd[b], fwd[b]))
         row[on_arm] = fwd[b, on_arm]
-        results.append(_result(arm, b, complex(np.vdot(bwd[b], row)), denominators[b]))
+        numerator, off = (complex(np.vdot(bwd[b], v)) for v in (row, fwd[b] - row))
+        results.append(_result(arm, b, numerator, denominators[b], off))
     return tuple(results)
 
 
@@ -407,22 +414,21 @@ def weak_limit_sweep(
     ``g_values`` must be finite, strictly descending and nonnegative, with
     at least one positive entry to fit; a final zero records the uncoupled
     baseline (shift exactly 0, probability P(0)) and is excluded from the
-    fits.  ``pointer.strength`` is not used.  ``w_on`` (the weak value's own
-    numerator) and ``w_off`` are read at the pointer's boundary from
-    ``scenario.boundary_states``, so a null arm's deviation falls as g**2
-    instead of sitting at a roundoff floor.  Every strength is read at once
-    from the closed form in the module docstring, ``P(g) = |w_off|**2 + a +
-    2 c E`` and ``shift/g = (a + c E) / P(g)``: Re(weak value) at E = 1
-    (g << sigma, AAV), and at E = 0 (g >> sigma) ``a / (a + |w_off|**2)``,
-    the ABL probability of the strong measurement {Pi, 1 - Pi}.  Its terms
-    are formed and summed as the kernel summed two rows, so each entry keeps
-    the kernel's bits.  The mean momentum, ``2 Im(conj(w_off) w_on) E g /
-    (4 sigma**2) / P(g)``, is only checked; ``1 / (4 sigma**2)`` is taken
-    first, as in the kernel's complex division, so the sweep refuses every
-    width and strength the kernel refused (and, as a weight of exactly 0 is
-    kept, also a slot where g / (4 sigma**2), or g**2 and 4 sigma**2,
-    overflow).  A lone coupling forms the two weights from rows evolved past
-    the boundary, so each entry matches it within 1e-15, not bit for bit.
+    fits.  ``pointer.strength`` is not used.  ``w_on`` and ``w_off`` are the
+    ``numerator`` and ``off_arm`` of the slot's weak-value record (their sum
+    is its ``denominator`` up to roundoff), so a null arm's deviation falls
+    as g**2 instead of sitting at a roundoff floor.  Every strength is read
+    at once from the closed form in the module docstring: Re(weak value) at
+    g << sigma (AAV), the ABL probability of the strong measurement {Pi, 1 -
+    Pi} at g >> sigma.  Its terms are formed and summed as the kernel summed
+    two rows, so each entry keeps the kernel's bits.  The mean momentum,
+    ``2 Im(conj(w_off) w_on) E g / (4 sigma**2) / P(g)``, is only checked;
+    ``1 / (4 sigma**2)`` is taken first, as in the kernel's complex
+    division, so the sweep refuses every width and strength the kernel
+    refused (and, as a weight of exactly 0 is kept, also a slot where g / (4
+    sigma**2), or g**2 and 4 sigma**2, overflow).  A lone coupling forms the
+    two weights from rows evolved past the boundary, so each entry matches
+    it within 1e-15, not bit for bit.
     """
     gs = [float(g) for g in g_values]
     if not all(math.isfinite(g) for g in gs):
@@ -435,15 +441,8 @@ def weak_limit_sweep(
         raise ValueError("coupling strengths need at least one positive value")
     analytic = arm_weak_value(scenario, pointer.arm, pointer.boundary)
     p_zero = abs(analytic.denominator) ** 2
-    fwd, bwd = scenario.boundary_states
-    b = analytic.boundary
-    off = fwd[b].copy()
-    off[scenario.basis.arm_indices(pointer.arm)] = 0.0
-    off_weight = complex(np.vdot(bwd[b], off))
-    if not cmath.isfinite(off_weight):
-        raise ValueError("non-finite inner product")
     # The kernel's outer product: numpy rounds a complex product unlike Python.
-    weights = np.array([off_weight, analytic.numerator])
+    weights = np.array([analytic.off_arm, analytic.numerator])
     (off_norm, both), (_, on_norm) = np.conj(weights)[:, None] * weights
     strengths = np.array(gs)
     # A width whose square underflows gives 0/0 or 0 * inf, as in the kernel.

@@ -391,24 +391,22 @@ def format_angle_reference(value: float) -> str:
 
 def read_shift_sets_reference(
     weights: np.ndarray, shifts: np.ndarray, widths: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``weakmeas._read_shift_sets`` with each L x L block summed by its own ``np.add.reduce``."""
-    sets, live, n = shifts.shape
+) -> tuple[np.float64, np.ndarray, np.ndarray]:
+    """``weakmeas._read_shift_sets`` on one L x N shift set, each L x L block summed on its own."""
+    n = shifts.shape[1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         quarter = 4.0 * widths**2
-        diff = shifts[:, :, None, :] - shifts[:, None, :, :]
+        diff = shifts[:, None, :] - shifts[None, :, :]
         log_overlap = np.add.reduce(diff**2 / (-2.0 * quarter), axis=-1)
-        cross = (np.conj(weights)[:, None] * weights[None, :] * np.exp(log_overlap))[:, None]
-        per_pointer = shifts.transpose(0, 2, 1)[..., None]
-        centers = (per_pointer + per_pointer.transpose(0, 1, 3, 2)) / 2.0
-        momenta = 1j * diff.transpose(0, 3, 1, 2) / quarter[:, None, None]
-        terms = np.concatenate((cross, cross * centers, cross * momenta), axis=1)
-        blocks = terms.reshape(sets * (1 + 2 * n), live, live)
-        sums = np.array([np.add.reduce(block, axis=None) for block in blocks]).real
-        sums = sums.reshape(sets, 1 + 2 * n)
-        probability = sums[:, 0]
-        means = sums[:, 1:] / probability[:, None]
-    return probability, means[:, :n], means[:, n:]
+        cross = (np.conj(weights)[:, None] * weights[None, :] * np.exp(log_overlap))[None]
+        per_pointer = shifts.T[..., None]
+        centers = (per_pointer + per_pointer.transpose(0, 2, 1)) / 2.0
+        momenta = 1j * diff.transpose(2, 0, 1) / quarter[:, None, None]
+        terms = np.concatenate((cross, cross * centers, cross * momenta))
+        sums = np.array([np.add.reduce(block, axis=None) for block in terms]).real
+        probability = sums[0]
+        means = sums[1:] / probability
+    return probability, means[:n], means[n:]
 
 
 def _fit_logs(xs, errors) -> tuple[list[float], list[float]]:

@@ -16,7 +16,6 @@ from weaktrace.trace import (
 )
 from weaktrace.weakmeas import (
     DegeneratePostselectionError,
-    WeakValueResult,
     arm_weak_value,
     weak_value_table,
 )
@@ -128,15 +127,14 @@ class TestContinuityCheck:
     @pytest.mark.parametrize("name", ["fig1", "fig2"])
     def test_every_presence_subset_matches_union_find(self, name, request):
         scenario = request.getfixturevalue(name)
-        slots = scenario.canonical_slots()
-        arms = [arm for arm, _ in slots]
+        # Each record is the scenario's own with only its value replaced, so
+        # a field added to the record does not touch this test.
+        records = weak_value_table(scenario)
+        arms = [r.arm for r in records]
         assert len(arms) == 5
         for mask in range(2 ** len(arms)):
             present = {arm for i, arm in enumerate(arms) if mask >> i & 1}
-            table = tuple(
-                WeakValueResult(arm, boundary, complex(arm in present), complex(arm in present), 1)
-                for arm, boundary in slots
-            )
+            table = tuple(replace(r, value=complex(r.arm in present)) for r in records)
             verdict = continuity_check(PresenceMap(0.5, table), scenario.adjacency)
             continuous, components, gaps = union_find_continuity(
                 arms, present, scenario.adjacency

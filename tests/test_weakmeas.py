@@ -98,8 +98,30 @@ class TestWeakValue:
         for scenario in [fig1, fig2, *chains, bool_slot]:
             slots = scenario.canonical_slots()
             expected = tuple(arm_weak_value(scenario, arm, b) for arm, b in slots)
-            assert weak_value_table(scenario) == expected, scenario.name
+            table = weak_value_table(scenario)
+            # Record equality covers every field, off_arm included.
+            assert table == expected, scenario.name
+            for record, (arm, b) in zip(table, slots, strict=True):
+                projected = weak_value(scenario, arm_projector(scenario.basis, arm), b)
+                assert projected.off_arm == record.off_arm, (scenario.name, arm, b)
         assert weak_value_table(bool_slot)[0] == arm_weak_value(fig1, "A", 1)
+
+    def test_off_arm_equals_zeroed_copy_bits(self, fig1, fig2, chains):
+        # The off-arm weight is <bwd|fwd> with the arm zeroed in a copy of
+        # fwd, bit for bit (repr tells -0.0 from 0.0), and it completes the
+        # numerator to the denominator.
+        for scenario in [fig1, fig2, *chains]:
+            fwd, bwd = scenario.boundary_states
+            for arm in scenario.basis.path_modes:
+                for boundary in range(scenario.n_boundaries):
+                    record = arm_weak_value(scenario, arm, boundary)
+                    off = fwd[boundary].copy()
+                    off[scenario.basis.arm_indices(arm)] = 0.0
+                    longhand = complex(np.vdot(bwd[boundary], off))
+                    where = (scenario.name, arm, boundary)
+                    assert repr(record.off_arm) == repr(longhand), where
+                    total = record.numerator + record.off_arm
+                    assert total == pytest.approx(record.denominator, abs=ATOL), where
 
     def test_complex_weak_value(self, phase_scenario):
         result = arm_weak_value(phase_scenario, "Q")
@@ -704,27 +726,29 @@ def test_degenerate_postselection_table_rejected(fig1):
     assert str(table_error.value) == str(slot_error.value) == "boundary 9 out of range 0..3"
 
 
-@pytest.mark.parametrize("sets", [1, 2, 3, 4])
-def test_readout_kernel_equals_block_by_block_sums(sets):
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_readout_kernel_equals_block_by_block_sums(seed):
     """One reduction over a contiguous copy adds each block as a lone block is added.
 
-    Each case draws ``sets`` shift sets of the same rows, read one at a
-    time.  L up to 7 keeps a block within numpy's unrolled pairwise leaf
-    (128 terms); L 12-40 with N 1-3 reaches its recursive branch.
+    For each (N, L), a seed draws one hit mask and ``seed`` strengths, and
+    each strength's shift set is read on its own.  L up to 7 keeps a block
+    within numpy's unrolled pairwise leaf (128 terms); L 12-40 with N 1-3
+    reaches its recursive branch.
     """
-    rng = np.random.default_rng(sets)
+    rng = np.random.default_rng(seed)
     small = [(n, live) for n in range(1, 15) for live in range(1, 8)]
     large = [(n, live) for n in range(1, 4) for live in (12, 13, 16, 23, 31, 40)]
     for n, live in small + large:
         weights = rng.normal(size=live) + 1j * rng.normal(size=live)
-        hits = rng.random((1, live, n)) < 0.5
-        shifts = np.where(hits, rng.uniform(0.01, 1.0, (sets, 1, 1)), 0.0)
+        hits = rng.random((live, n)) < 0.5
+        strengths = rng.uniform(0.01, 1.0, seed)
         widths = rng.uniform(0.5, 2.0, n)
-        for k in range(sets):
-            got = _read_shift_sets(weights, shifts[k], widths)
-            expected = read_shift_sets_reference(weights, shifts[k][None], widths)
+        for strength in strengths:
+            shifts = np.where(hits, strength, 0.0)
+            got = _read_shift_sets(weights, shifts, widths)
+            expected = read_shift_sets_reference(weights, shifts, widths)
             for a, b in zip(got, expected, strict=True):
-                assert np.shape(a) == b.shape[1:] and (a == b[0]).all(), (sets, k, n, live)
+                assert np.shape(a) == np.shape(b) and (a == b).all(), (seed, strength, n, live)
 
 
 @pytest.mark.parametrize("width", [1e-200, 1e-160])
